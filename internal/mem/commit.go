@@ -68,7 +68,7 @@ func (ws *Workspace) rediff(misses []int) {
 	if len(misses) < rediffParallelMin {
 		for _, pg := range misses {
 			dp := ws.dirty[pg]
-			d := computeDiff(dp.data, dp.twin)
+			d := dp.diff()
 			dp.spec = &d
 		}
 		return
@@ -86,7 +86,7 @@ func (ws *Workspace) rediff(misses []int) {
 			defer wg.Done()
 			for _, pg := range sub {
 				dp := ws.dirty[pg]
-				d := computeDiff(dp.data, dp.twin)
+				d := dp.diff()
 				dp.spec = &d
 			}
 		}()
@@ -134,27 +134,14 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	var patches []*pageSlot
 	if oldV < headBefore {
 		touched := ws.touchedScratch()
-		for i := oldV - s.floor; i < headBefore-s.floor; i++ {
-			for pg, slot := range s.versions[i].Pages {
-				touched[pg] = true
-				if _, dirtyHere := ws.dirty[pg]; dirtyHere {
-					patches = append(patches, slot)
-				}
-			}
-		}
+		patches = ws.pullLocked(headBefore, touched)
 		pc.stats.PulledPages = len(touched)
 	}
 	s.mu.Unlock()
 
 	// Import remote bytes into dirty pages before diffing so the commit
 	// cannot resurrect stale values for bytes this thread never wrote.
-	// Published diffs are immutable and the patched pages are ours, so no
-	// lock is needed. applyWhereClean is diff-preserving (see
-	// dirtyPage.spec), so speculative diffs survive the import.
-	for _, slot := range patches {
-		dp := ws.dirty[slot.page]
-		slot.diff.applyWhereClean(dp.data, dp.twin)
-	}
+	ws.applyPatches(patches)
 
 	// Diff dirty pages in deterministic (ascending page) order. Pages with
 	// valid speculative diffs are free; the invalidated rest are re-diffed
@@ -205,7 +192,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 			if dp.pf != pfNone {
 				wasted++
 			}
-			freed -= 2 // dirty copy and twin both freed
+			freed -= 2 // dirty copy and twin both freed (resetDirty)
 			continue
 		}
 		slot := &pageSlot{
@@ -220,8 +207,11 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 			slot.conflict = true
 			freed -= 2 // our raw copy and twin freed; merge allocates
 		} else {
-			slot.fastData = dp.data // our copy becomes the committed page
-			freed--                 // twin freed
+			// Our copy becomes the committed page; resetDirty frees the
+			// twin.
+			slot.fastData = dp.data
+			dp.data = nil
+			freed--
 		}
 		pc.stats.DiffBytes += diff.Bytes()
 		if miss {
@@ -272,24 +262,25 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 }
 
 // resetDirty clears the dirty set after a commit, retaining only the
-// prefetched pages in kept. pages is the commit's full (ascending) page
-// list and kept an ascending subset of it; both are workspace scratch.
-// A retained page stays byte-identical to the committed state at the
-// workspace's new version: its own commit did not publish it (empty
-// diff), and every prior patch imported remote bytes into data and twin
-// alike.
+// prefetched pages in kept, and returns the dropped pages' dead buffers to
+// the page pool: every private twin, and every data copy the commit did
+// not publish (dropped unchanged pages, and conflict pages, whose merge
+// builds the committed page from the previous version instead). No reader
+// can reach them: dirty pages are the workspace's own. pages is the
+// commit's full (ascending) page list and kept an ascending subset of it;
+// both are workspace scratch. A retained page stays byte-identical to the
+// committed state at the workspace's new version: its own commit did not
+// publish it (empty diff), and every prior patch imported remote bytes
+// into data and twin alike.
 func (ws *Workspace) resetDirty(pages, kept []int) {
 	ws.scratchKept = kept
-	if len(kept) == 0 {
-		ws.dirty = make(map[int]*dirtyPage)
-		return
-	}
 	ki := 0
 	for _, pg := range pages {
 		if ki < len(kept) && kept[ki] == pg {
 			ki++
 			continue
 		}
+		ws.dirty[pg].release(ws.seg)
 		delete(ws.dirty, pg)
 	}
 }
@@ -342,7 +333,11 @@ func (s *Segment) CompleteThrough(n int64) {
 
 // ReadCommitted copies bytes from the segment's state as of version `at`
 // into buf, ignoring all workspaces. Used by the harness and tests to
-// observe and hash final memory. Blocks on pending versions.
+// observe and hash final memory. Resolves pending versions on demand.
+//
+// No workspace pins `at`, so GC may fold past it and recycle the very page
+// being read; each page is therefore located and copied under the segment
+// lock, which GC holds while it recycles.
 func (s *Segment) ReadCommitted(buf []byte, off int, at int64) {
 	if off < 0 || off+len(buf) > s.size {
 		panic("mem: ReadCommitted out of range")
@@ -353,8 +348,13 @@ func (s *Segment) ReadCommitted(buf []byte, off int, at int64) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		src := s.committedPage(pg, at)
+		s.mu.Lock()
+		slot, src := s.pageAtLocked(pg, at)
+		if slot != nil {
+			src = slot.resolve()
+		}
 		copy(buf[:n], src[po:po+n])
+		s.mu.Unlock()
 		buf = buf[n:]
 		off += n
 	}

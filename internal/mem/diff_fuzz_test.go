@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -54,6 +55,12 @@ func fuzzSeedPairs(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xaa}, 64), bytes.Repeat([]byte{0x55}, 64)) // dense
 	f.Add(bytes.Repeat([]byte{7}, 31), bytes.Repeat([]byte{7}, 31))       // clean, 8∤31
 	f.Add([]byte("same....DIFF....same....X"), []byte("same....diff....same....Y"))
+	// Rich dirty-page scripts (see checkDirtyPageScript) for both targets.
+	a, b := make([]byte, 3*pageScriptOps), make([]byte, 3*pageScriptOps)
+	rng := rand.New(rand.NewSource(1))
+	rng.Read(a)
+	rng.Read(b)
+	f.Add(a, b)
 }
 
 // FuzzComputeDiff pins the word-wide diff kernel to the byte-loop
@@ -81,6 +88,7 @@ func FuzzComputeDiff(f *testing.F) {
 		if !bytes.Equal(rt, cur) {
 			t.Fatalf("apply(twin) != cur\ngot  %x\nwant %x", rt, cur)
 		}
+		checkDirtyPageScript(t, b)
 	})
 }
 
@@ -115,7 +123,144 @@ func FuzzApplyWhereClean(f *testing.F) {
 		if after := computeDiff(dst, twin); !reflect.DeepEqual(before, after) {
 			t.Fatalf("patch changed the local diff\nbefore %+v\nafter  %+v", before, after)
 		}
+		checkDirtyPageScript(t, a)
 	})
+}
+
+// pageScriptOps bounds a dirty-page script. Every write stores its step's
+// own value, byte(step+1), so with at most 255 steps no store repeats a
+// value a byte already holds (twin-diffing cannot see such a store, the
+// documented byte-merge artifact, and the flat model below would drift).
+const pageScriptOps = 80
+
+// checkDirtyPageScript drives a workspace's dirty pages through an
+// interleaving of local writes, remote commits, partial updates,
+// prefetches, speculative diffs and local commits decoded from script
+// (three bytes a step), with a GC after every commit so committed pages
+// are recycled while twins may still share them. After every step it
+// checks the invariants the allocation-free page path rests on:
+//   - each page's write-bounded diff equals computeDiff(data, twin) over
+//     the whole page;
+//   - a twin still shared with a committed page never has a byte changed
+//     (against a snapshot taken when the page was installed);
+//   - a prefetched page's diff stays empty until it is written;
+//
+// and that the workspace's view equals a flat replay of the committed
+// versions overlaid with its own uncommitted stores.
+func checkDirtyPageScript(t *testing.T, script []byte) {
+	t.Helper()
+	const (
+		pageSize = 64
+		size     = 2 * pageSize
+	)
+	s, err := NewSegment(SegmentConfig{Name: "script", Size: size, PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, _ := s.Snapshot(0)
+	remote, _ := s.Snapshot(1)
+	local.SetPredict(true)
+	// states[v] is the flat committed content at version v.
+	states := [][]byte{make([]byte, size)}
+	pending := map[int]byte{} // local stores not yet committed
+	publish := func(writes map[int]byte) {
+		next := append([]byte(nil), states[len(states)-1]...)
+		for off, v := range writes {
+			next[off] = v
+		}
+		states = append(states, next)
+	}
+	installed := map[int]*dirtyPage{}
+	snaps := map[int][]byte{}
+	view := make([]byte, size)
+
+	for step := 0; step+3 <= len(script) && step/3 < pageScriptOps; step += 3 {
+		op, x, y := script[step], int(script[step+1]), int(script[step+2])
+		val := byte(step/3 + 1)
+		switch op % 6 {
+		case 0, 1: // local store of 1..8 bytes
+			off, n := x%size, 1+y%8
+			n = min(n, size-off)
+			local.Write(bytes.Repeat([]byte{val}, n), off)
+			for i := off; i < off+n; i++ {
+				pending[i] = val
+			}
+		case 2: // a remote thread commits a store at head
+			remote.Update()
+			off, n := x%size, 1+y%8
+			n = min(n, size-off)
+			remote.Write(bytes.Repeat([]byte{val}, n), off)
+			remote.Commit()
+			writes := map[int]byte{}
+			for i := off; i < off+n; i++ {
+				writes[i] = val
+			}
+			publish(writes)
+			s.GC()
+		case 3: // import some or all of the versions we lag behind
+			if head := s.Head(); head > local.Version() {
+				local.UpdateTo(local.Version() + 1 + int64(x)%(head-local.Version()))
+			}
+		case 4: // prefetch a page, or pre-diff speculatively
+			if y%2 == 0 {
+				local.Prepopulate([]int{x % 2})
+			} else {
+				local.PrepareCommit()
+			}
+		case 5: // local commit
+			local.Commit()
+			if len(pending) > 0 {
+				publish(pending)
+				pending = map[int]byte{}
+			}
+			s.GC()
+		}
+
+		for pg, dp := range local.dirty {
+			if installed[pg] != dp {
+				installed[pg] = dp
+				snaps[pg] = append([]byte(nil), dp.twin...)
+			}
+			if got, want := dp.diff(), computeDiff(dp.data, dp.twin); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d page %d: extent [%d,%d) diff %+v, whole-page diff %+v",
+					step/3, pg, dp.lo, dp.hi, got, want)
+			}
+			if dp.sharedTwin && !bytes.Equal(dp.twin, snaps[pg]) {
+				t.Fatalf("step %d page %d: shared twin changed\ngot  %x\nwant %x", step/3, pg, dp.twin, snaps[pg])
+			}
+			if dp.pf != pfNone && (!dp.diff().Empty() || dp.spec == nil || !dp.spec.Empty()) {
+				t.Fatalf("step %d page %d: unwritten prefetched page has a diff", step/3, pg)
+			}
+		}
+		local.Read(view, 0)
+		want := append([]byte(nil), states[local.Version()]...)
+		for off, v := range pending {
+			want[off] = v
+		}
+		if !bytes.Equal(view, want) {
+			t.Fatalf("step %d: view at v%d\ngot  %x\nwant %x", step/3, local.Version(), view, want)
+		}
+	}
+	local.Commit()
+	if len(pending) > 0 {
+		publish(pending)
+	}
+	got := make([]byte, size)
+	s.ReadCommitted(got, 0, s.Head())
+	if want := states[len(states)-1]; s.Head() != int64(len(states)-1) || !bytes.Equal(got, want) {
+		t.Fatalf("final state at v%d (model v%d)\ngot  %x\nwant %x", s.Head(), len(states)-1, got, want)
+	}
+}
+
+// TestDirtyPageInterleavings runs checkDirtyPageScript over a fixed set of
+// random scripts, so tier-1 covers the interleavings without fuzzing.
+func TestDirtyPageInterleavings(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	script := make([]byte, 3*pageScriptOps)
+	for trial := 0; trial < 300; trial++ {
+		rng.Read(script)
+		checkDirtyPageScript(t, script)
+	}
 }
 
 // TestApplyWhereCleanPreservesDiff is the deterministic statement of the

@@ -4,6 +4,18 @@ package mem
 // freeing superseded pages. A version is collectible once every live
 // workspace's snapshot is at or past it and its merge phase has completed.
 //
+// A superseded base page goes back to the page pool. No reader can reach
+// it. Folding version v needs every workspace at or past v, and a
+// workspace reads (or faults) a page only at its own snapshot version,
+// finishing before it advances, so no workspace reads v's predecessor
+// pages any more. A dirty page's shared twin was privatized when its
+// workspace pulled v (see Workspace.pullLocked). The conflict merges of v
+// itself, the only readers of its slots' prev pages, are resolved before
+// v may fold. A Version handle's pages are read only while its committer
+// pins it (see Version.ForEachPageHash), and ReadCommitted, pinned by no
+// workspace, copies under the segment lock held here. The zero page is never in the
+// base table, so it is never recycled.
+//
 // The per-invocation reclaim budget (SegmentConfig.GCPageBudget) models the
 // paper's single-threaded Conversion collector: programs that allocate and
 // free pages faster than one collector thread can fold them accumulate
@@ -19,8 +31,8 @@ func (s *Segment) GC() int {
 	budget := s.stats.GCPageBudget
 	reclaimed := 0
 	folded := 0
-	for s.floor < limit && len(s.versions) > 0 {
-		v := s.versions[0]
+	for s.floor < limit && folded < len(s.versions) {
+		v := s.versions[folded]
 		if v.Pending() {
 			break
 		}
@@ -28,25 +40,31 @@ func (s *Segment) GC() int {
 			break
 		}
 		for pg, slot := range v.Pages {
-			if s.base[pg] != nil {
+			if old := s.base[pg]; old != nil {
 				reclaimed++ // superseded base page freed
 				s.allocPages(-1)
+				s.putPage(old)
 			}
 			s.base[pg] = slot.data
 			// Drop the chain link: anything at or below the new floor is
 			// reachable through the base table.
 			slot.prev = nil
 		}
-		s.versions = s.versions[1:]
 		s.floor++
 		folded++
 	}
-	if folded > 0 || reclaimed > 0 {
-		s.statsMu.Lock()
-		s.stats.GCRuns++
-		s.stats.GCReclaimedPages += int64(reclaimed)
-		s.statsMu.Unlock()
+	if folded == 0 {
+		return 0
 	}
+	// Shift the retained tail down rather than reslicing past the folded
+	// head, so the chain's backing array is reused by later commits.
+	n := copy(s.versions, s.versions[folded:])
+	clear(s.versions[n:])
+	s.versions = s.versions[:n]
+	s.statsMu.Lock()
+	s.stats.GCRuns++
+	s.stats.GCReclaimedPages += int64(reclaimed)
+	s.statsMu.Unlock()
 	return reclaimed
 }
 

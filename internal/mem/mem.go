@@ -5,8 +5,9 @@
 // A Segment is a paged, versioned address space. Each thread operates on a
 // Workspace: an isolated snapshot of the segment at some version. Writes to
 // a workspace trigger a copy-on-write "fault" that copies the page into a
-// thread-local dirty set together with a twin (the pristine snapshot copy),
-// exactly mirroring the kernel implementation's private page-table entries.
+// thread-local dirty set together with a twin (the pristine snapshot, which
+// shares the committed page until a remote patch must write it), mirroring
+// the kernel implementation's private page-table entries.
 //
 // A commit publishes the workspace's dirty pages as a new immutable Version.
 // If another thread committed to the same page since the workspace's
@@ -32,24 +33,6 @@ import (
 // 4096 matches the hardware page size the paper's kernel implementation
 // operates on.
 const DefaultPageSize = 4096
-
-// zeroPage is shared backing for never-written pages so that sparse
-// segments cost nothing until touched.
-var (
-	zeroPages   = map[int][]byte{}
-	zeroPagesMu sync.Mutex
-)
-
-func zeroPage(size int) []byte {
-	zeroPagesMu.Lock()
-	defer zeroPagesMu.Unlock()
-	p, ok := zeroPages[size]
-	if !ok {
-		p = make([]byte, size)
-		zeroPages[size] = p
-	}
-	return p
-}
 
 // SegmentConfig parameterizes a Segment.
 type SegmentConfig struct {
@@ -95,6 +78,51 @@ type Segment struct {
 	statsMu sync.Mutex
 
 	workspaces map[int]*Workspace // live workspaces keyed by owner tid
+
+	// zero backs every never-written page (base[pg] == nil), so sparse
+	// segments cost nothing until touched. Made on first use under mu;
+	// never written and never recycled.
+	zero []byte
+	// pool is the free list of page buffers (see getPage).
+	pool pagePool
+}
+
+// pagePool is a segment's free list of page-sized buffers. Every page
+// buffer the segment hands out — a workspace's dirty copy, a private twin,
+// a conflict merge's result — comes from it, and every buffer that dies
+// goes back: dropped dirty copies and private twins at commit or discard,
+// and committed pages a GC fold supersedes. The list never holds more
+// buffers than the segment once had live at the same time. It has its own
+// lock so that merge phases, which run outside the segment lock, can draw
+// from it; the lock order is Segment.mu before pagePool.mu.
+type pagePool struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// getPage returns a page buffer with unspecified contents; the caller
+// overwrites all of it.
+func (s *Segment) getPage() []byte {
+	s.pool.mu.Lock()
+	if n := len(s.pool.free); n > 0 {
+		p := s.pool.free[n-1]
+		s.pool.free[n-1] = nil
+		s.pool.free = s.pool.free[:n-1]
+		s.pool.mu.Unlock()
+		return p
+	}
+	s.pool.mu.Unlock()
+	return make([]byte, s.pageSize)
+}
+
+// putPage returns a dead page buffer to the free list. The caller must
+// hold the only reference any reader can still reach: see the "Page
+// buffer lifecycle" section of docs/architecture.md for why each caller
+// may.
+func (s *Segment) putPage(p []byte) {
+	s.pool.mu.Lock()
+	s.pool.free = append(s.pool.free, p)
+	s.pool.mu.Unlock()
 }
 
 // Version is one committed (or pending) set of page modifications.
@@ -135,7 +163,11 @@ func (v *Version) PageIndexes() []int {
 // version modified, in ascending page order. It forces resolution of any
 // still-pending slots, which is safe anywhere (resolve is idempotent and
 // order-independent); the run journal uses it to record per-commit page
-// hashes at publication time.
+// hashes at publication time. It reads the version's page buffers, so it
+// must run while some workspace still pins the version — its committer
+// before advancing past it, as the journal does: once every workspace
+// has passed a later version of the same page, GC may recycle this one's
+// buffer.
 func (v *Version) ForEachPageHash(f func(page int, hash uint64)) {
 	for _, slot := range v.slots {
 		data := slot.resolve()
@@ -193,8 +225,11 @@ type pageSlot struct {
 func (s *pageSlot) resolve() []byte {
 	s.once.Do(func() {
 		if s.conflict {
-			base := s.prev.resolve()
-			data := append([]byte(nil), base...)
+			// prev's buffer stays live until this slot resolves: only a
+			// GC fold of this version (which waits for resolution) can
+			// supersede it.
+			data := s.seg.getPage()
+			copy(data, s.prev.resolve())
 			s.diff.apply(data)
 			s.data = data
 			s.seg.allocPages(1)
@@ -264,28 +299,39 @@ func (s *Segment) pageIndex(off int) (int, int) {
 // committedPage returns the content of pg as of version `at`, following
 // the retained delta chain. The returned slice must not be mutated. If the
 // governing version is still pending, its content is resolved on demand.
+//
+// The slice is read after the segment lock is dropped, which is safe only
+// for a caller whose workspace is at `at`: GC recycles a page buffer only
+// once every workspace has passed a later version of the page. Readers
+// pinned by no workspace use ReadCommitted, which copies under the lock.
 func (s *Segment) committedPage(pg int, at int64) []byte {
 	s.mu.Lock()
-	var slot *pageSlot
+	slot, data := s.pageAtLocked(pg, at)
+	s.mu.Unlock()
+	if slot != nil {
+		return slot.resolve()
+	}
+	return data
+}
+
+// pageAtLocked finds what governs pg at version `at`: the newest retained
+// version slot at or below `at` touching pg, or else (slot nil) the base
+// table's page, the zero page for a never-written one.
+func (s *Segment) pageAtLocked(pg int, at int64) (*pageSlot, []byte) {
 	// Walk back from `at` to floor looking for the newest version <= at
 	// touching pg.
 	for i := at - s.floor - 1; i >= 0; i-- {
-		v := s.versions[i]
-		if sl, ok := v.Pages[pg]; ok {
-			slot = sl
-			break
+		if sl, ok := s.versions[i].Pages[pg]; ok {
+			return sl, nil
 		}
 	}
-	if slot == nil {
-		data := s.base[pg]
-		s.mu.Unlock()
-		if data == nil {
-			return zeroPage(s.pageSize)
-		}
-		return data
+	if data := s.base[pg]; data != nil {
+		return nil, data
 	}
-	s.mu.Unlock()
-	return slot.resolve()
+	if s.zero == nil {
+		s.zero = make([]byte, s.pageSize)
+	}
+	return nil, s.zero
 }
 
 // Snapshot creates a workspace view of the segment at its current head.

@@ -659,33 +659,68 @@ func TestPropUpdateTimingIrrelevant(t *testing.T) {
 	}
 }
 
+// TestManyConcurrentReaders: committed pages may be read concurrently
+// while another thread keeps committing, with a GC after every commit.
+// Each reader also holds dirty pages (a private byte per page, never
+// committed) whose twins start out shared with committed pages, so every
+// update privatizes and patches them while GC recycles the pages they
+// came from. Run with -race.
 func TestManyConcurrentReaders(t *testing.T) {
-	// Committed pages may be read concurrently while other threads commit.
-	s := newTestSegment(t, 4096, 64)
+	const (
+		pages   = 64
+		readers = 8
+		rounds  = 40
+	)
+	s := newTestSegment(t, pages*64, 64)
 	w, _ := s.Snapshot(100)
-	for pg := 0; pg < 64; pg++ {
+	for pg := 0; pg < pages; pg++ {
 		w.Write([]byte{byte(pg)}, pg*64)
 	}
 	w.Commit()
 	var wg sync.WaitGroup
-	for r := 0; r < 8; r++ {
+	// Every reader snapshots before the writer starts, so each sees all of
+	// its rounds as patches.
+	var wss []*Workspace
+	for r := 0; r < readers; r++ {
+		ws, err := s.Snapshot(r)
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", r, err)
+		}
+		wss = append(wss, ws)
+	}
+	wg.Add(1)
+	go func() {
+		// Version 1+k holds round k at byte 1 of every page.
+		defer wg.Done()
+		for round := 1; round <= rounds; round++ {
+			for pg := 0; pg < pages; pg++ {
+				w.Write([]byte{byte(round)}, pg*64+1)
+			}
+			w.Commit()
+			s.GC()
+		}
+	}()
+	for r, ws := range wss {
 		wg.Add(1)
-		go func(r int) {
+		go func(r int, ws *Workspace) {
 			defer wg.Done()
-			ws, err := s.Snapshot(r)
-			if err != nil {
-				t.Errorf("snapshot %d: %v", r, err)
-				return
-			}
-			buf := make([]byte, 1)
-			for pg := 0; pg < 64; pg++ {
-				ws.Read(buf, pg*64)
-				if buf[0] != byte(pg) {
-					t.Errorf("reader %d page %d: got %d", r, pg, buf[0])
-					return
+			defer s.Release(ws)
+			buf := make([]byte, 2)
+			for pass := 0; pass < 2*rounds; pass++ {
+				round := byte(ws.Version() - 1)
+				for pg := 0; pg < pages; pg++ {
+					ws.Read(buf, pg*64)
+					if buf[0] != byte(pg) || buf[1] != round {
+						t.Errorf("reader %d page %d at v%d: got %v, want [%d %d]", r, pg, ws.Version(), buf, pg, round)
+						return
+					}
+					if pass == 0 && pg%2 == r%2 {
+						ws.Write([]byte{byte(r + 1)}, pg*64+2+r)
+					}
 				}
+				ws.Update()
 			}
-		}(r)
+		}(r, ws)
 	}
 	wg.Wait()
 }

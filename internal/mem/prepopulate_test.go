@@ -160,6 +160,7 @@ func BenchmarkPrepopulate(b *testing.B) {
 		set[i] = i
 	}
 	b.SetBytes(pages * 4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Prepopulate(set)

@@ -38,6 +38,10 @@ type Stats struct {
 	GCReclaimedPages int64
 	// CurPages and PeakPages track live allocated pages (dirty copies,
 	// twins, committed version pages) — the Figure 12 memory statistic.
+	// They count the Conversion model's pages, not Go buffers: a dirty
+	// page counts a twin even while its twin shares the committed page
+	// instead of copying it, so recycling and sharing leave Figure 12
+	// unchanged.
 	CurPages  int64
 	PeakPages int64
 	// GCPageBudget is the per-invocation reclaim bound (0 = unlimited),

@@ -12,17 +12,68 @@ import (
 // calls serialized by the caller (as the runtimes' token does), everything
 // else — Complete, reads, updates, GC — racing freely. Run with -race.
 
+// TestConcurrentCommitUpdateStress races workspaces that fault, prefetch,
+// read, write, update and commit against a GC after every commit and a
+// reader copying committed pages at head throughout — the conditions
+// under which page buffers are recycled. Every read is checked against a
+// flat replay of the committed diffs: a workspace must see the replay at
+// its version overlaid with its own stores, and a ReadCommitted page must
+// equal the replay at some version between the head before and after the
+// read (GC may fold past the head it was asked for). A recycled buffer
+// that a reader could still reach shows up as a mismatch or, under -race,
+// as a data race. The segment is small, so nearly every GC fold recycles
+// pages the readers have just used: under -race the test reliably catches
+// ReadCommitted copying outside the segment lock, or a workspace
+// privatizing a shared twin only after it has advanced.
 func TestConcurrentCommitUpdateStress(t *testing.T) {
 	const (
-		threads = 8
-		iters   = 60
-		size    = 64 * 1024
+		threads  = 8
+		iters    = 400
+		pageSize = 256
+		size     = 8 * pageSize
 	)
-	s, err := NewSegment(SegmentConfig{Name: "stress", Size: size})
+	s, err := NewSegment(SegmentConfig{Name: "stress", Size: size, PageSize: pageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var commitMu sync.Mutex // the "token"
+	// commitMu is the "token". It also guards states, the flat replay:
+	// states[v] is the committed content at version v, immutable once
+	// appended.
+	var commitMu sync.Mutex
+	states := [][]byte{make([]byte, size)}
+	stateAt := func(v int64) []byte {
+		commitMu.Lock()
+		defer commitMu.Unlock()
+		return states[v]
+	}
+
+	done := make(chan struct{})
+	var readerWG sync.WaitGroup
+	readerWG.Add(1)
+	go func() {
+		defer readerWG.Done()
+		buf := make([]byte, pageSize)
+		for pg := 0; ; pg = (pg + 1) % (size / pageSize) {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			from := s.Head()
+			s.ReadCommitted(buf, pg*pageSize, from)
+			commitMu.Lock() // every version up to the head is in states
+			ok := false
+			for v := from; v <= s.Head() && !ok; v++ {
+				ok = bytes.Equal(buf, states[v][pg*pageSize:(pg+1)*pageSize])
+			}
+			commitMu.Unlock()
+			if !ok {
+				t.Errorf("ReadCommitted page %d at head %d matches no replayed version since", pg, from)
+				return
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
@@ -33,41 +84,78 @@ func TestConcurrentCommitUpdateStress(t *testing.T) {
 				t.Errorf("snapshot %d: %v", w, err)
 				return
 			}
+			ws.SetPredict(w%2 == 0)
 			rng := rand.New(rand.NewSource(int64(w)))
 			buf := make([]byte, 128)
+			// pending holds this workspace's uncommitted stores. Each byte
+			// is stored at most once per commit, with a value differing
+			// from the one it replaces, so it stays dirty (data != twin)
+			// until the commit publishes it and the flat model holds.
+			pending := map[int]byte{}
 			for i := 0; i < iters; i++ {
+				if i%3 == 0 {
+					ws.Prepopulate([]int{rng.Intn(size / pageSize), rng.Intn(size / pageSize)})
+				}
 				for k := 0; k < 4; k++ {
 					off := rng.Intn(size - len(buf))
 					ws.Read(buf, off)
+					state := stateAt(ws.Version())
 					for j := range buf {
-						buf[j] ^= byte(w + i + j)
+						want, mine := pending[off+j]
+						if !mine {
+							want = state[off+j]
+						}
+						if buf[j] != want {
+							t.Errorf("worker %d at v%d: byte %d = %d, want %d", w, ws.Version(), off+j, buf[j], want)
+							return
+						}
+						if !mine {
+							buf[j] ^= byte(w+i+j) | 1
+							pending[off+j] = buf[j]
+						}
 					}
 					ws.Write(buf, off)
+					if rng.Intn(3) == 0 {
+						// Import remote commits into the dirty pages,
+						// privatizing their shared twins.
+						ws.Update()
+					}
 				}
 				commitMu.Lock()
 				pc := ws.BeginCommit()
+				if v := pc.Version(); v != nil {
+					next := append([]byte(nil), states[len(states)-1]...)
+					v.ForEachPageDiff(func(pg int, d Diff) { d.apply(next[pg*pageSize:]) })
+					states = append(states, next)
+				}
 				commitMu.Unlock()
+				clear(pending)
 				pc.Complete()
-				if i%7 == 0 {
-					ws.Update()
-				}
-				if i%13 == 0 {
-					s.GC()
-				}
+				s.GC()
 			}
+			s.Release(ws)
 		}(w)
 	}
 	wg.Wait()
+	close(done)
+	readerWG.Wait()
 	// The segment must still be internally consistent: a full read at head
-	// succeeds and GC can drain completely.
+	// equals the replay, and GC can drain completely.
 	buf := make([]byte, size)
 	s.ReadCommitted(buf, 0, s.Head())
+	if !bytes.Equal(buf, states[s.Head()]) {
+		t.Fatal("final state diverges from the flat replay")
+	}
+	s.GC()
 	st := s.Stats()
 	if st.Versions == 0 || st.CommittedPages == 0 {
 		t.Fatalf("stress made no commits: %+v", st)
 	}
 	if st.CurPages < 0 {
 		t.Fatalf("negative live pages: %+v", st)
+	}
+	if s.RetainedVersions() != 0 {
+		t.Fatalf("GC left %d versions with no workspace live", s.RetainedVersions())
 	}
 }
 

@@ -42,6 +42,7 @@ type Workspace struct {
 	scratchPages   []int
 	scratchKept    []int
 	scratchTouched map[int]bool
+	scratchPatches []*pageSlot
 }
 
 // Prefetch states of a dirty page (dirtyPage.pf).
@@ -61,8 +62,27 @@ const (
 
 // dirtyPage is a privately writable copy of a page plus its pristine twin.
 type dirtyPage struct {
+	// data is the private copy the thread writes, drawn from the segment's
+	// page pool. It goes back to the pool when the page leaves the dirty
+	// set, unless a commit published it as the version's page (then
+	// BeginCommit sets it to nil).
 	data []byte
-	twin []byte
+	// twin is the page as of the snapshot, kept in step with imported
+	// remote bytes. While sharedTwin is set it is the immutable committed
+	// page itself (a base, version or zero page) and must not be written:
+	// ownTwin swaps in a private copy before the first import writes it.
+	// Only remote patches write twins, and a patch from a version touching
+	// this page is applied (privatizing the twin) before the workspace
+	// passes that version — so GC, which recycles a committed page only
+	// after every workspace has passed a later version of it, never
+	// recycles a buffer a shared twin still references.
+	twin       []byte
+	sharedTwin bool
+	// [lo, hi) is the byte extent of the thread's own writes since the
+	// page was installed (empty, lo >= hi, until the first). Outside it
+	// data == twin, because the copy starts equal and imports write both
+	// alike, so the diff scans only the extent (diff).
+	lo, hi int
 	// spec is the page's speculative diff (PrepareCommit). The invariant: a
 	// non-nil spec always equals computeDiff(data, twin) over the current
 	// contents. Local writes reset it to nil; remote imports do NOT, because
@@ -159,6 +179,7 @@ func (ws *Workspace) Write(data []byte, off int) {
 		}
 		dp.spec = nil // the write invalidates any speculative diff
 		copy(dp.data[po:po+n], data[:n])
+		dp.lo, dp.hi = min(dp.lo, po), max(dp.hi, po+n)
 		data = data[n:]
 		off += n
 	}
@@ -170,22 +191,69 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 	if dp, ok := ws.dirty[pg]; ok {
 		return dp
 	}
-	base := ws.seg.committedPage(pg, ws.version)
-	dp := &dirtyPage{
-		data: append([]byte(nil), base...),
-		twin: append([]byte(nil), base...),
-	}
-	ws.dirty[pg] = dp
+	dp := ws.install(pg, pfNone)
 	ws.faults++
-	if ws.faultPerturb != nil {
-		ws.chaosFaultNS += ws.faultPerturb(pg)
-	}
 	ws.seg.noteFault(ws.predict)
-	ws.seg.allocPages(2)
 	if ws.predict {
 		ws.chunkWrites = append(ws.chunkWrites, pg)
 	}
 	return dp
+}
+
+// install makes pg dirty: the one constructor behind both copy-on-write
+// faults and prefetches. The data copy comes from the segment's page pool;
+// the twin shares the committed page (see dirtyPage.twin), which the
+// workspace's snapshot version keeps alive. The Conversion model still
+// charges two pages, a dirty copy and a twin, whether or not the twin is
+// shared (Stats.CurPages).
+func (ws *Workspace) install(pg int, pf uint8) *dirtyPage {
+	base := ws.seg.committedPage(pg, ws.version)
+	data := ws.seg.getPage()
+	copy(data, base)
+	dp := &dirtyPage{data: data, twin: base, sharedTwin: true, lo: len(data), pf: pf}
+	if pf != pfNone {
+		// data == twin, so the diff is empty (see emptyDiff).
+		dp.spec = &emptyDiff
+	}
+	ws.dirty[pg] = dp
+	if ws.faultPerturb != nil {
+		ws.chaosFaultNS += ws.faultPerturb(pg)
+	}
+	ws.seg.allocPages(2)
+	return dp
+}
+
+// ownTwin gives dp a private twin before a remote patch writes it.
+func (dp *dirtyPage) ownTwin(s *Segment) {
+	if dp.sharedTwin {
+		t := s.getPage()
+		copy(t, dp.twin)
+		dp.twin, dp.sharedTwin = t, false
+	}
+}
+
+// diff returns computeDiff(data, twin) over the whole page while scanning
+// only the write extent, outside which the two are equal.
+func (dp *dirtyPage) diff() Diff {
+	if dp.lo >= dp.hi {
+		return Diff{}
+	}
+	d := computeDiff(dp.data[dp.lo:dp.hi], dp.twin[dp.lo:dp.hi])
+	for i := range d.Runs {
+		d.Runs[i].Off += dp.lo
+	}
+	return d
+}
+
+// release returns dp's private buffers to the segment's page pool: its
+// data unless a commit published it, and its twin unless shared.
+func (dp *dirtyPage) release(s *Segment) {
+	if dp.data != nil {
+		s.putPage(dp.data)
+	}
+	if !dp.sharedTwin {
+		s.putPage(dp.twin)
+	}
 }
 
 func (ws *Workspace) checkRange(off, n int, op string) {
@@ -226,33 +294,54 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 		s.mu.Unlock()
 		return 0
 	}
-	touched := make(map[int]bool)
-	var patches []*pageSlot
-	for i := ws.version - s.floor; i < head-s.floor; i++ {
+	touched := ws.touchedScratch()
+	patches := ws.pullLocked(head, touched)
+	ws.version = head
+	s.mu.Unlock()
+	ws.applyPatches(patches)
+	s.addPulled(int64(len(touched)))
+	return len(touched)
+}
+
+// pullLocked collects the window (ws.version, to]: every page a version in
+// it modified goes into touched, and the slots that must patch this
+// workspace's dirty pages come back in version order (the version list's
+// order). Each patched page's twin is privatized here, under the segment
+// lock and before the caller advances ws.version: once the workspace
+// passes a version touching the page, GC may recycle the committed page a
+// shared twin references.
+func (ws *Workspace) pullLocked(to int64, touched map[int]bool) []*pageSlot {
+	s := ws.seg
+	patches := ws.scratchPatches[:0]
+	for i := ws.version - s.floor; i < to-s.floor; i++ {
 		if i < 0 {
 			// Should not happen: GC never passes a live workspace.
 			panic(fmt.Sprintf("mem: workspace for tid %d (version %d) behind GC floor %d", ws.tid, ws.version, s.floor))
 		}
-		v := s.versions[i]
-		for pg, slot := range v.Pages {
+		for pg, slot := range s.versions[i].Pages {
 			touched[pg] = true
-			if _, dirtyHere := ws.dirty[pg]; dirtyHere {
+			if dp, dirtyHere := ws.dirty[pg]; dirtyHere {
+				dp.ownTwin(s)
 				patches = append(patches, slot)
 			}
 		}
 	}
-	ws.version = head
-	s.mu.Unlock()
-	// Patch dirty pages outside the segment lock; diffs are immutable after
-	// phase 1 and patches is in version order because the version list is.
+	ws.scratchPatches = patches
+	return patches
+}
+
+// applyPatches imports pulled remote bytes into dirty pages, outside the
+// segment lock: diffs are immutable after phase 1 and the pages (with
+// their twins, privatized by pullLocked) are the workspace's own.
+// applyWhereClean is diff-preserving (see dirtyPage.spec), so speculative
+// diffs survive the import. It clears the scratch slice so it retains no
+// slots.
+func (ws *Workspace) applyPatches(patches []*pageSlot) {
 	for _, slot := range patches {
 		dp := ws.dirty[slot.page]
-		// Diff-preserving (see dirtyPage.spec): any speculative diff for
-		// this page remains valid across the import.
 		slot.diff.applyWhereClean(dp.data, dp.twin)
 	}
-	s.addPulled(int64(len(touched)))
-	return len(touched)
+	clear(patches)
 }
 
 // PrepareCommit speculatively computes the per-page diffs the next
@@ -275,7 +364,7 @@ func (ws *Workspace) PrepareCommit() int {
 	prepared := 0
 	for _, dp := range ws.dirty {
 		if dp.spec == nil {
-			d := computeDiff(dp.data, dp.twin)
+			d := dp.diff()
 			dp.spec = &d
 			prepared++
 		}
@@ -343,18 +432,7 @@ func (ws *Workspace) Prepopulate(pages []int) (populated int) {
 			}
 			continue
 		}
-		base := ws.seg.committedPage(pg, ws.version)
-		dp := &dirtyPage{
-			data: append([]byte(nil), base...),
-			twin: append([]byte(nil), base...),
-			spec: &emptyDiff,
-			pf:   pfFresh,
-		}
-		ws.dirty[pg] = dp
-		if ws.faultPerturb != nil {
-			ws.chaosFaultNS += ws.faultPerturb(pg)
-		}
-		ws.seg.allocPages(2)
+		ws.install(pg, pfFresh)
 		populated++
 	}
 	return populated
@@ -369,7 +447,10 @@ func (ws *Workspace) Discard() {
 
 func (ws *Workspace) discardLocked() {
 	if n := len(ws.dirty); n > 0 {
+		for _, dp := range ws.dirty {
+			dp.release(ws.seg)
+		}
 		ws.seg.allocPages(int64(-2 * n))
-		ws.dirty = make(map[int]*dirtyPage)
+		clear(ws.dirty)
 	}
 }

@@ -25,8 +25,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (obs + det + chaos + replica)"
-go test -race ./internal/obs/... ./internal/det ./internal/chaos/... ./internal/replica
+echo "== go test -race (obs + det + chaos + replica + mem + commitlog + journal)"
+go test -race ./internal/obs/... ./internal/det ./internal/chaos/... ./internal/replica ./internal/mem ./internal/commitlog ./internal/journal
 
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
