@@ -64,18 +64,16 @@ var predictFlag = flag.Bool("predict", true, "enable write-set prediction (page 
 // in scripts/check.sh asserts exactly that.
 var chaosFlag = flag.String("chaos", "", "arm seeded fault injection on the consequence runtimes: profile[:seed], e.g. storm:7 (profiles: "+strings.Join(chaos.Profiles(), ", ")+")")
 
-// shardsFlag selects sharded token arbitration on the consequence
-// runtimes. 1 (the default) is the legacy single-token time model; N >= 2
-// partitions lock objects into N shards with real per-shard granting
-// authority (docs/scheduler.md stage 2) and also enables the rest of the
-// scale-out trio — the deterministic worker pool (pre-spawned to the
-// benchmark thread count) and lazy fast-forward — since all three target
-// the same token-handoff critical path. Checksums are identical at every
-// shard count, and each count's sync-order hash is itself a deterministic
-// constant (per-shard grant loops legitimately interleave threads
-// differently at different counts, so the hash is pinned per count, not
-// across counts); the shard determinism gate in scripts/check.sh asserts
-// exactly that against its per-count golden set.
+// shardsFlag selects the scheduler on the consequence runtimes. 1 (the
+// default) is the single global token; N >= 2 is the scale-out scheduler
+// (docs/scheduler.md): per-shard granting over N shards, with the
+// deterministic worker pool pre-spawned to the benchmark thread count and
+// lazy fast-forward. Checksums are identical at every shard count, and
+// each count's sync-order hash is itself a deterministic constant
+// (per-shard grant loops legitimately interleave threads differently at
+// different counts, so the hash is pinned per count, not across counts);
+// the shard determinism gate in scripts/check.sh asserts exactly that
+// against its per-count golden set.
 var shardsFlag = flag.Int("shards", 1, "token arbitration shards on the consequence runtimes (>=2 also enables the worker pool and lazy fast-forward)")
 
 // benchThreads mirrors -threads for mkRuntime (the worker-pool prespawn
@@ -162,6 +160,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	meta := harness.RunMeta(harness.Options{
+		Bench: spec.Name, Runtime: harness.Kind(*rtName),
+		Threads: *threads, Scale: *scale, Seed: *seed, Shards: *shardsFlag,
+	})
 	var jw *journal.Writer
 	if *journalPath != "" {
 		type journalable interface{ SetJournal(*journal.Writer) }
@@ -169,17 +171,7 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("runtime %q does not support journaling (the consequence runtimes do)", *rtName))
 		}
-		jw, err = journal.Create(*journalPath, map[string]string{
-			"bench":   spec.Name,
-			"runtime": *rtName,
-			"threads": fmt.Sprint(*threads),
-			"scale":   fmt.Sprint(*scale),
-			"seed":    fmt.Sprint(*seed),
-			"shards":  fmt.Sprint(*shardsFlag),
-			// Grant mode matters when diffing journals: per-shard granting
-			// orders events differently from a same-count stage-1 run.
-			"shard-grants": fmt.Sprint(*shardsFlag >= 2),
-		})
+		jw, err = journal.Create(*journalPath, meta)
 		if err != nil {
 			fatal(err)
 		}
@@ -194,17 +186,7 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("runtime %q does not support commit logging (the consequence runtimes do)", *rtName))
 		}
-		cl, err = commitlog.Create(*commitLogDir, commitlog.Options{
-			Meta: map[string]string{
-				"bench":        spec.Name,
-				"runtime":      *rtName,
-				"threads":      fmt.Sprint(*threads),
-				"scale":        fmt.Sprint(*scale),
-				"seed":         fmt.Sprint(*seed),
-				"shards":       fmt.Sprint(*shardsFlag),
-				"shard-grants": fmt.Sprint(*shardsFlag >= 2),
-			},
-		})
+		cl, err = commitlog.Create(*commitLogDir, commitlog.Options{Meta: meta})
 		if err != nil {
 			fatal(err)
 		}

@@ -90,8 +90,8 @@ type Arbiter struct {
 	lastRelease int64
 	// fastForward enables §3.5 on Arrive.
 	fastForward bool
-	// nShards > 0 switches grant decisions to sharded granting (stage 2,
-	// shardgrant.go): per-shard release clocks, scoped fast-forward, and
+	// nShards > 0 switches grant decisions to sharded granting
+	// (shardgrant.go): per-shard release clocks, scoped fast-forward, and
 	// the (count, shard id, tid) merge rule.
 	nShards     int
 	shardClocks []int64

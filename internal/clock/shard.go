@@ -9,16 +9,15 @@ import (
 // ShardSet is the bookkeeping half of sharded token arbitration
 // (docs/scheduler.md): lock objects are partitioned into N shards, each
 // with its own sub-token holder and shard clock. Grant decisions live in
-// the Arbiter (legacy single-domain, or the stage-2 sharded merge rule in
-// shardgrant.go) — the ShardSet never grants anything — but it records,
-// per shard, who last held the shard's sub-token and the release clock of
-// the shard's last operation, so the runtime can tell a cheap shard-local
-// re-acquire (the previous holder taking its own sub-token back) from a
-// full cross-thread transfer, and can price the shard-clock merge that
-// cross-shard edges (barriers, forks, joins, exits) must perform. Under
-// per-shard granting it additionally carries each shard's virtual-time
-// frontier — the anchor that lets operations in different shards overlap
-// in modeled time — and per-shard busy accounting for the
+// the Arbiter (the sharded merge rule in shardgrant.go) — the ShardSet
+// never grants anything — but it records, per shard, who last held the
+// shard's sub-token and the release clock of the shard's last operation,
+// so the runtime can tell a cheap shard-local re-acquire (the previous
+// holder taking its own sub-token back) from a full cross-thread
+// transfer, and can price the shard-clock merge that cross-shard edges
+// (barriers, forced commits) must perform. It also carries each shard's
+// virtual-time frontier — the anchor that lets operations in different
+// shards overlap in modeled time — and per-shard busy accounting for the
 // grant-parallelism metric.
 //
 // All methods are called with the global token held (grant decisions are
@@ -34,8 +33,7 @@ type ShardSet struct {
 	transfers int64 // sub-token handoffs to a different thread
 	merges    int64 // cross-shard merges performed at edges
 
-	// Stage-2 (per-shard granting) virtual-time state, all written with
-	// the machine token held:
+	// Virtual-time state, all written with the machine token held:
 	frontiers    []int64 // virtual ns at which each shard's last op released
 	busy         []int64 // summed token-held virtual ns per shard
 	globalBusyNS int64   // token-held virtual ns of cross-shard edges

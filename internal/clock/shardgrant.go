@@ -2,14 +2,14 @@ package clock
 
 import "fmt"
 
-// Sharded granting (stage 2, docs/scheduler.md): the arbiter itself is
-// partitioned into per-shard grant domains. Every request names a scope —
-// one shard for shardable operations (mutex and condition ops, exits in
-// the exiting thread's domain, joins in the child's domain) or GlobalScope
-// for true cross-shard edges (spawn, barrier rendezvous, forced commits).
-// Each shard keeps its own release clock, blocked threads fast-forward
-// only to their scope's shard clock instead of the global last release,
-// and the grant decision orders candidates by the merge rule
+// Sharded granting (docs/scheduler.md): the arbiter itself is partitioned
+// into per-shard grant domains. Every request names a scope — one shard
+// for shardable operations (mutex and condition ops, spawns and exits in
+// the acting thread's domain, joins in the child's domain) or GlobalScope
+// for true cross-shard edges (barrier rendezvous, forced commits). Each
+// shard keeps its own release clock, blocked threads fast-forward only to
+// their scope's shard clock instead of the global last release, and the
+// grant decision orders candidates by the merge rule
 //
 //	(count, shard id, tid)   — lexicographic, GlobalScope sorting last —
 //
@@ -55,13 +55,6 @@ func (a *Arbiter) EnableShardGrants(n int) {
 	}
 	a.nShards = n
 	a.shardClocks = make([]int64, n)
-}
-
-// ShardGrants reports whether sharded granting is enabled.
-func (a *Arbiter) ShardGrants() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.nShards > 0
 }
 
 // RequestSharded is Request with an explicit scope: shard in [0, n) for a

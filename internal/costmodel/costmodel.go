@@ -71,30 +71,24 @@ type Model struct {
 	ForkPerPage int64
 	PoolReuse   int64
 
-	// PoolWorkerWake is the spawner-side cost of adopting a parked pooled
-	// worker (docs/scheduler.md): a free-list pop, the deterministic
-	// registration of the new tid, and a futex wake of the worker's parked
-	// task. The worker's own warm-up (view rebind and page pulls, modeled
-	// as WorkerWarmup + pulled×UpdatePage) runs on the worker's timeline,
-	// overlapping the spawner — which is the point: the spawner's critical
-	// path pays only this term instead of ForkBase or PoolReuse.
-	PoolWorkerWake int64
-
-	// PoolAdoptDispatch is the spawner-side cost of a pool adoption under
-	// per-shard granting (docs/scheduler.md stage 2): pop the free list,
-	// publish the assignment, and trip the worker's wake, then move on.
-	// The deterministic re-registration that the legacy PoolWorkerWake
-	// also covered is not a separate charge in stage 2 — the worker's
-	// first sub-token acquisition prices it (ShardHandoff/ShardTransfer),
-	// and the wake latency itself is already modeled host-side (Wakeup) —
-	// the same waker-to-woken cost move lazy fast-forward makes for token
-	// wakes.
+	// PoolAdoptDispatch is the spawner-side cost of adopting a parked
+	// worker under the scale-out scheduler (Config.Shards ≥ 2,
+	// docs/scheduler.md): pop the free list, publish the assignment, and
+	// trip the worker's wake, then move on. The deterministic
+	// re-registration of the new tid is not a separate charge — the
+	// worker's first sub-token acquisition prices it
+	// (ShardHandoff/ShardTransfer), and the wake latency itself is modeled
+	// host-side (Wakeup) — the same waker-to-woken cost move lazy
+	// fast-forward makes for token wakes. The worker's own warm-up
+	// (WorkerWarmup + pulled×UpdatePage) runs on the worker's timeline,
+	// overlapping the spawner, whose critical path pays only this term
+	// instead of ForkBase or PoolReuse.
 	PoolAdoptDispatch int64
 
 	// WorkerWarmup is the adopted worker's wake-to-ready cost: swap the
 	// workspace's address-space base to the new tid and revalidate its
 	// view against the pinned spawn head. Much cheaper than PoolReuse —
-	// the legacy workspace pool reconstructs a cold workspace's mappings
+	// the single-token workspace pool reconstructs a cold workspace's mappings
 	// from pool state, while a live worker's mappings never went away, so
 	// adoption pays only the rebind and the per-page delta pulls
 	// (UpdatePage each) for commits that landed while it was parked.
@@ -105,8 +99,8 @@ type Model struct {
 	// the grant word, with the woken thread's counter fast-forward
 	// *deferred*. FastForwardResync is that deferred resync, charged when
 	// the thread actually takes the token and publishes its clock. The
-	// split replaces TokenHandoff on wake paths when
-	// Config.LazyFastForward is set; WakeHandoff + FastForwardResync <
+	// split replaces TokenHandoff on wake paths when Config.Shards ≥ 2
+	// and Config.FastForward is set; WakeHandoff + FastForwardResync <
 	// TokenHandoff because deferral batches the counter reprogramming
 	// with the clock read the thread was about to do anyway.
 	WakeHandoff       int64
@@ -118,17 +112,17 @@ type Model struct {
 	// sub-token against the shard clock. Charged instead of TokenHandoff
 	// when Config.Shards ≥ 2 and the acquiring thread was the shard's
 	// last holder. ShardClockRead is the per-foreign-shard cost of the
-	// shard-clock merge performed at cross-shard edges (barriers, forks,
-	// joins, exits): a cross-shard op pays (Shards−1)×ShardClockRead on
-	// top of its handoff to fold every shard clock into the global order.
+	// shard-clock merge performed at cross-shard edges (barriers, forced
+	// commits): a cross-shard op pays (Shards−1)×ShardClockRead on top of
+	// its handoff to fold every shard clock into the global order.
 	ShardHandoff   int64
 	ShardClockRead int64
 
 	// ShardTransfer is a sub-token handoff between threads within one
-	// arbitration shard under per-shard granting (stage 2,
-	// docs/scheduler.md): one remote cache-line transfer for the shard's
-	// holder word plus the shard-clock publish, but no global fold — the
-	// other shards' clock lines stay untouched. Sits between ShardHandoff
+	// arbitration shard under per-shard granting (docs/scheduler.md): one
+	// remote cache-line transfer for the shard's holder word plus the
+	// shard-clock publish, but no global fold — the other shards' clock
+	// lines stay untouched. Sits between ShardHandoff
 	// (shard-local re-acquire) and TokenHandoff (full cross-shard edge).
 	ShardTransfer int64
 
@@ -158,7 +152,6 @@ func Default() Model {
 		ForkBase:          120_000,
 		ForkPerPage:       450,
 		PoolReuse:         15_000,
-		PoolWorkerWake:    1_800,
 		PoolAdoptDispatch: 600,
 		WorkerWarmup:      4_000,
 		WakeHandoff:       130,

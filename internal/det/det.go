@@ -79,63 +79,46 @@ type Config struct {
 	// UserspaceClockRead enables §3.4: clock reads at sync ops inside a
 	// coarsened chunk skip the syscall.
 	UserspaceClockRead bool
-	// ThreadPool enables §3.3 thread reuse for fork-join programs.
+	// ThreadPool enables §3.3 thread reuse for fork-join programs on the
+	// single-token scheduler (Shards < 2), which recycles exited threads'
+	// workspaces. The scale-out scheduler always reuses whole workers.
 	ThreadPool bool
-	// PoolCap bounds the number of pooled workspaces (and, under
-	// WorkerPool, parked workers).
+	// PoolCap bounds the number of pooled workspaces (Shards < 2) or
+	// parked workers (Shards >= 2).
 	PoolCap int
-	// WorkerPool upgrades §3.3 thread reuse from workspace recycling to
-	// full worker reuse (docs/scheduler.md): an exiting thread parks its
-	// host task and workspace on a replay-stable free list keyed by
-	// (exit clock, tid), and a later Spawn adopts the warmest parked
-	// worker instead of forking. The spawner pays only
-	// Model.PoolWorkerWake; the adopted worker performs its own view
-	// warm-up off the spawner's critical path. Results (checksums, sync
-	// traces) are identical with the pool on or off — only modeled time
-	// and its placement move.
-	WorkerPool bool
 	// PoolPrespawn pre-creates this many parked workers before the root
-	// thread starts (requires WorkerPool), so even a program's first
+	// thread starts (requires Shards >= 2), so even a program's first
 	// spawns adopt instead of forking: worker creation cost lands on the
 	// workers' own timelines at startup, overlapping the root thread's
 	// ramp-up. Bounded by PoolCap.
 	PoolPrespawn int
-	// LazyFastForward defers a woken thread's counter fast-forward off
-	// the wake path (§3.5 refined, docs/scheduler.md): the wake itself
-	// pays only Model.WakeHandoff, and the deferred resync
-	// (Model.FastForwardResync) is charged when the thread actually
-	// takes the token. Logical clock values are unchanged — the arbiter
-	// still fast-forwards exactly as with eager FF — so grant order and
-	// traces are identical; only the charge structure moves. Effective
-	// only when FastForward is on.
-	LazyFastForward bool
-	// Shards partitions lock objects into this many arbitration shards
-	// (docs/scheduler.md), each with its own sub-token and shard clock,
-	// merged only at cross-shard edges (barriers, forks, joins, exits).
-	// Without ShardGrants the global grant order is unchanged — the
-	// sharded structure grants in exactly the single-token order, which
-	// is the stage-1 determinism argument — but a shard-local sub-token
-	// re-acquire is priced at Model.ShardHandoff instead of a full
-	// TokenHandoff. 0 and 1 both mean the legacy single token and
-	// reproduce the pre-shard time model exactly (dwc-strict keeps
-	// Shards = 1).
+	// Shards selects the scheduler. 0 and 1 both mean the single global
+	// token of §2.4, with the pre-scale-out time model (dwc keeps
+	// Shards = 1). Shards >= 2 turns on the scale-out scheduler
+	// (docs/scheduler.md), which requires PolicyIC:
+	//
+	//   - Per-shard granting: lock objects hash into Shards arbitration
+	//     shards, each with its own sub-token and release clock. Every
+	//     request names a scope — the operation's shard, or a global
+	//     scope for cross-shard edges (barriers, forced commits) — blocked
+	//     threads fast-forward only into their scope's clock domain, and
+	//     grants follow the deterministic merge rule (shard clock, shard
+	//     id, tid).
+	//   - Worker reuse: an exiting thread parks its host task and
+	//     workspace on a replay-stable free list keyed by (exit clock,
+	//     tid), and a later Spawn adopts a parked worker instead of
+	//     forking; the adopted worker warms its own view up off the
+	//     spawner's critical path.
+	//   - Lazy fast-forward (§3.5 refined): when FastForward is on, a
+	//     woken thread pays Model.WakeHandoff on the wake and the deferred
+	//     Model.FastForwardResync when it takes the token.
+	//
+	// Results (checksums) are byte-identical to the single-token scheduler
+	// for race-free programs, but the sync trace legitimately changes:
+	// events carry shard provenance and interleave per the merge rule (the
+	// ordering-contract equivalence argument in docs/scheduler.md). Each
+	// shard count's interleave is itself deterministic.
 	Shards int
-	// Sharder maps lock object ids to shards; nil selects FNVSharder
-	// (fnv32a hash + modulo). Only consulted when Shards >= 2.
-	Sharder Sharder
-	// ShardGrants promotes the shards from priced bookkeeping to real
-	// granting authority (stage 2, docs/scheduler.md): every request
-	// names a scope — the operation's shard, or a global scope for
-	// cross-shard edges (spawn, barrier, forced commits) — per-shard
-	// release clocks advance independently, blocked threads fast-forward
-	// only into their scope's clock domain, and grants follow the
-	// deterministic merge rule (shard clock, shard id, tid). Results
-	// (checksums) are byte-identical to the legacy order for race-free
-	// programs, but the sync trace legitimately changes: events carry
-	// shard provenance and interleave per the merge rule instead of the
-	// single-token order (the ordering-contract equivalence argument in
-	// docs/scheduler.md). Requires PolicyIC and Shards >= 2.
-	ShardGrants bool
 	// ParallelBarrier enables the two-phase parallel barrier commit (§4.2).
 	ParallelBarrier bool
 	// SpeculativeDiff hoists commit diff computation off the token path: a
@@ -196,12 +179,6 @@ type Config struct {
 
 	// TraceKeep bounds retained trace events (hashing always covers all).
 	TraceKeep int
-	// JournalCheckpointK is the interval, in sync-trace events, between
-	// rolling-hash checkpoints (trace.Checkpoint; 0 disables). Checkpoints
-	// are cheap in-memory snapshots of the global and per-thread hashes;
-	// with a run journal attached they are also persisted, letting
-	// conseq-diff localize a divergence in O(log n) hash probes.
-	JournalCheckpointK int64
 	// Model is the simulation cost model (ignored on untimed hosts).
 	Model costmodel.Model
 
@@ -253,31 +230,30 @@ func Default() Config {
 		// bounded reclaim per pass, so programs that churn pages faster
 		// than one collector thread can fold them retain versions — the
 		// canneal / lu_ncb memory growth of Figure 12.
-		GCPageBudget:       192,
-		GCEveryNCommits:    16,
-		TraceKeep:          4096,
-		JournalCheckpointK: 256,
-		Model:              costmodel.Default(),
+		GCPageBudget:    192,
+		GCEveryNCommits: 16,
+		TraceKeep:       4096,
+		Model:           costmodel.Default(),
 	}
 }
 
-// EnableScaleOut applies the scheduler scale-out set (docs/scheduler.md)
-// for a run with the given thread count: Shards-way per-shard granting
-// (ShardGrants), the deterministic worker pool pre-spawned to the thread
-// count, and lazy fast-forward. A shards value below 2 leaves the
-// configuration untouched — the legacy single-token time model. Results
-// (checksums) are identical at every shard count for race-free programs;
-// the sync trace at shards >= 2 follows the per-shard merge-rule order
-// (deterministic and replay-stable, but different events/interleave than
-// shards = 1 — see the stage-2 equivalence argument in docs/scheduler.md).
+// checkpointInterval is the number of sync-trace events between
+// rolling-hash checkpoints (trace.Checkpoint). Checkpoints are cheap
+// in-memory snapshots of the global and per-thread hashes; with a run
+// journal attached they are also persisted, letting conseq-diff localize a
+// divergence in O(log n) hash probes. Journal bytes depend on it.
+const checkpointInterval = 256
+
+// EnableScaleOut selects the scale-out scheduler (Config.Shards,
+// docs/scheduler.md) for a run with the given thread count: shards-way
+// per-shard granting, with the worker pool pre-spawned to the thread
+// count. A shards value below 2 leaves the configuration untouched — the
+// single-token scheduler.
 func (c *Config) EnableScaleOut(shards, threads int) {
 	if shards < 2 {
 		return
 	}
 	c.Shards = shards
-	c.ShardGrants = true
-	c.WorkerPool = true
-	c.LazyFastForward = true
 	c.PoolPrespawn = threads
 }
 
@@ -320,18 +296,17 @@ type Runtime struct {
 	mu      sync.Mutex // guards threads map, pool and workers
 	threads map[int]*Thread
 	pool    []*mem.Workspace
-	// workers is the parked-worker free list (WorkerPool), kept sorted by
-	// free-list key ascending so the warmest worker pops from the end.
+	// workers is the parked-worker free list (Shards >= 2), kept sorted by
+	// free-list key ascending; spawns adopt from the front (popWorker).
 	// Mutations are token-serialized (spawn adopts, exit parks, the last
 	// exit drains) — the list order, and therefore which worker a spawn
 	// adopts, is replay-stable.
 	workers   []*worker
 	workerSeq int
 
-	// shardSet/sharder are the sharded-arbitration bookkeeping, nil/unused
-	// when cfg.Shards < 2.
+	// shardSet is the per-shard granting bookkeeping. It is non-nil
+	// exactly when cfg.Shards >= 2, and every scale-out branch tests it.
 	shardSet *clock.ShardSet
-	sharder  Sharder
 
 	// diagMu guards heldLocks: per-tid held mutex ids for failure
 	// diagnostics (RuntimeError, DumpState). Ownership changes are
@@ -376,19 +351,15 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 	if cfg.PoolPrespawn < 0 {
 		return nil, fmt.Errorf("det: negative prespawn count %d", cfg.PoolPrespawn)
 	}
-	if cfg.PoolPrespawn > 0 && !cfg.WorkerPool {
-		return nil, fmt.Errorf("det: PoolPrespawn requires WorkerPool")
-	}
-	if cfg.WorkerPool && cfg.PoolCap <= 0 {
-		return nil, fmt.Errorf("det: WorkerPool requires a positive PoolCap")
-	}
-	if cfg.ShardGrants {
-		if cfg.Shards < 2 {
-			return nil, fmt.Errorf("det: ShardGrants requires Shards >= 2 (got %d)", cfg.Shards)
-		}
+	if cfg.Shards >= 2 {
 		if cfg.Policy != clock.PolicyIC {
-			return nil, fmt.Errorf("det: ShardGrants requires PolicyIC (round-robin has no clock domain to shard)")
+			return nil, fmt.Errorf("det: Shards >= 2 requires PolicyIC (round-robin has no clock domain to shard)")
 		}
+		if cfg.PoolCap <= 0 {
+			return nil, fmt.Errorf("det: Shards >= 2 requires a positive PoolCap")
+		}
+	} else if cfg.PoolPrespawn > 0 {
+		return nil, fmt.Errorf("det: PoolPrespawn requires Shards >= 2 (got %d)", cfg.Shards)
 	}
 	seg, err := mem.NewSegment(mem.SegmentConfig{
 		Name:         "heap",
@@ -409,20 +380,12 @@ func New(cfg Config, h host.Host) (*Runtime, error) {
 		threads:      make(map[int]*Thread),
 		lastCoordTid: -1,
 	}
-	if cfg.JournalCheckpointK > 0 {
-		rt.rec.SetCheckpointInterval(cfg.JournalCheckpointK)
-	}
+	rt.rec.SetCheckpointInterval(checkpointInterval)
 	if cfg.SingleGlobalLock {
 		rt.globalMutex = &dMutex{id: 1, owner: -1}
 	}
 	if cfg.Shards >= 2 {
 		rt.shardSet = clock.NewShardSet(cfg.Shards)
-		rt.sharder = cfg.Sharder
-		if rt.sharder == nil {
-			rt.sharder = FNVSharder{}
-		}
-	}
-	if cfg.ShardGrants {
 		rt.arb.EnableShardGrants(cfg.Shards)
 	}
 	if cfg.CommitLog != nil {
@@ -496,18 +459,16 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 			sh := i
 			r.Func("clock_shard_grants", func() int64 { return ss.Stats().Grants[sh] }, obs.L("shard", sh))
 		}
-		if rt.cfg.ShardGrants {
-			// Stage-2 virtual-time gauges: per-shard token-held busy time
-			// and frontier, plus the cross-shard edges' bucket. The analyzer
-			// divides busy by wall for per-shard arbiter utilization and the
-			// grant-parallelism metric.
-			for i := 0; i < ss.Shards(); i++ {
-				sh := i
-				r.Func("clock_shard_busy_ns", func() int64 { b, _ := ss.BusyNS(); return b[sh] }, obs.L("shard", sh))
-				r.Func("clock_shard_frontier_ns", func() int64 { return ss.FrontierNS(sh) }, obs.L("shard", sh))
-			}
-			r.Func("clock_global_edge_busy_ns", func() int64 { _, g := ss.BusyNS(); return g })
+		// Virtual-time gauges: per-shard token-held busy time and frontier,
+		// plus the cross-shard edges' bucket. The analyzer divides busy by
+		// wall for per-shard arbiter utilization and the grant-parallelism
+		// metric.
+		for i := 0; i < ss.Shards(); i++ {
+			sh := i
+			r.Func("clock_shard_busy_ns", func() int64 { b, _ := ss.BusyNS(); return b[sh] }, obs.L("shard", sh))
+			r.Func("clock_shard_frontier_ns", func() int64 { return ss.FrontierNS(sh) }, obs.L("shard", sh))
 		}
+		r.Func("clock_global_edge_busy_ns", func() int64 { _, g := ss.BusyNS(); return g })
 	}
 	aggFunc := func(f func(api.RunStats) int64) func() int64 {
 		return func() int64 {
@@ -698,7 +659,7 @@ func (rt *Runtime) attachThread(tid int, startClock int64, ws *mem.Workspace) *T
 		curShard: -1,
 		overflow: clock.NewOverflow(rt.cfg.OverflowBase, rt.cfg.AdaptiveOverflow),
 	}
-	if rt.cfg.ShardGrants {
+	if rt.shardSet != nil {
 		// Home shard: where the thread's exit (and any join on it) is
 		// arbitrated until a shardable op moves its domain. tid-derived, so
 		// a joiner can compute it without racing the running child.
@@ -799,7 +760,7 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 			})
 		}
 	}()
-	if rt.cfg.ShardGrants && rt.timed {
+	if rt.shardSet != nil && rt.timed {
 		if aw, ok := waker.(host.AnchoredWaker); ok {
 			// Anchor the wake at the granted op's scope frontier instead of
 			// the waker's own clock: the target's sub-token became free at

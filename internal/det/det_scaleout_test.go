@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/clock"
 	"repro/internal/costmodel"
 	"repro/internal/det"
 	"repro/internal/host/realhost"
@@ -96,6 +97,66 @@ func TestShardsOneIsLegacyTimeModel(t *testing.T) {
 	s0, s1 := rt0.Stats(), rt1.Stats()
 	if !reflect.DeepEqual(s0, s1) {
 		t.Errorf("RunStats diverged at Shards=1:\n got %+v\nwant %+v", s1, s0)
+	}
+}
+
+// det.New validates the scheduler selection: a negative shard count, the
+// scale-out scheduler under round-robin (no clock domain to shard) or
+// without pool capacity, and pre-spawned workers without the scale-out
+// scheduler are configuration errors, not silently ignored knobs.
+func TestNewValidatesScaleOut(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(*det.Config)
+		ok   bool
+	}{
+		{"negative-shards", func(c *det.Config) { c.Shards = -1 }, false},
+		{"shards-rr", func(c *det.Config) { c.Shards = 2; c.Policy = clock.PolicyRR }, false},
+		{"scale-out-rr", func(c *det.Config) { c.Policy = clock.PolicyRR; c.EnableScaleOut(4, 4) }, false},
+		{"shards-no-pool-cap", func(c *det.Config) { c.Shards = 2; c.PoolCap = 0 }, false},
+		{"prespawn-shards-1", func(c *det.Config) { c.PoolPrespawn = 2 }, false},
+		{"prespawn-shards-0", func(c *det.Config) { c.Shards = 0; c.PoolPrespawn = 2 }, false},
+		{"negative-prespawn", func(c *det.Config) { c.EnableScaleOut(2, -1) }, false},
+		{"shards-0", func(c *det.Config) { c.Shards = 0 }, true},
+		{"shards-rr-1", func(c *det.Config) { c.Policy = clock.PolicyRR }, true},
+		{"shards-2-no-prespawn", func(c *det.Config) { c.Shards = 2 }, true},
+		{"scale-out", func(c *det.Config) { c.EnableScaleOut(8, 4) }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cfg()
+			tc.mod(&c)
+			_, err := det.New(c, simhost.New(costmodel.Default()))
+			if (err == nil) != tc.ok {
+				t.Errorf("det.New error = %v, want ok = %v", err, tc.ok)
+			}
+		})
+	}
+}
+
+// Shards: 0 is the single-token scheduler, exactly like Shards: 1 — same
+// checksum, same sync trace, same modeled RunStats to the nanosecond.
+func TestShardsZeroIsShardsOne(t *testing.T) {
+	for name, prog := range map[string]func(api.T){
+		"counter":  counterProg(4, 20),
+		"forkjoin": forkJoinRoundsProg(3, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			c0 := cfg()
+			c0.Shards = 0
+			sum0, rec0, rt0 := run(t, c0, simhost.New(costmodel.Default()), prog)
+			sum1, rec1, rt1 := run(t, cfg(), simhost.New(costmodel.Default()), prog)
+			if sum0 != sum1 {
+				t.Errorf("checksum %x at Shards=0 != %x at Shards=1", sum0, sum1)
+			}
+			if rec0.Hash() != rec1.Hash() {
+				t.Errorf("trace hash %x at Shards=0 != %x at Shards=1\n%s",
+					rec0.Hash(), rec1.Hash(), trace.Diff(rec1, rec0))
+			}
+			if s0, s1 := rt0.Stats(), rt1.Stats(); !reflect.DeepEqual(s0, s1) {
+				t.Errorf("RunStats diverged:\n Shards=0 %+v\n Shards=1 %+v", s0, s1)
+			}
+		})
 	}
 }
 
@@ -267,6 +328,118 @@ func BenchmarkGrantParallel(b *testing.B) {
 			})
 			if err != nil {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// forkJoinRoundsProg runs rounds of width-way fork/join. With the pool
+// pre-spawned to fewer workers than width, the first round mixes
+// pre-spawned adoptions with fresh forks, and later rounds adopt the
+// workers parked by the previous round's exits — every Spawn path of
+// the worker pool.
+func forkJoinRoundsProg(rounds, width int) func(api.T) {
+	return func(t api.T) {
+		for r := 0; r < rounds; r++ {
+			hs := make([]api.Handle, 0, width)
+			for i := 0; i < width; i++ {
+				i := i
+				hs = append(hs, t.Spawn(func(t api.T) {
+					t.Compute(int64(200 * (i + 1)))
+					api.AddU64(t, 8*i, uint64(r+1))
+				}))
+			}
+			for _, h := range hs {
+				t.Join(h)
+			}
+		}
+	}
+}
+
+// The scale-out scheduler's modeled time is pinned, not just its results:
+// the full simulation-host RunStats — makespan, every phase total, every
+// counter and each thread's breakdown — at 2 and 4 shards. The checksum
+// and trace-hash goldens cannot see a charge that moves between phases
+// or threads; this can. Regenerate only for an intentional time-model
+// change.
+func TestScaleOutModeledTimePinned(t *testing.T) {
+	type tt = api.ThreadTime
+	cases := []struct {
+		name   string
+		prog   func(api.T)
+		shards int
+		want   api.RunStats
+	}{
+		{"counter", counterProg(4, 20), 2, api.RunStats{
+			WallNS: 369318, LocalWorkNS: 20158, DetermWaitNS: 738344, CommitNS: 48180, FaultNS: 18800, LibNS: 281240,
+			Faults: 4, Versions: 8, CommittedPages: 8, PulledPages: 11, PeakPages: 12, PrefetchHits: 4, PrefetchMisses: 4,
+			TokenGrants: 25, SyncOps: 173, CoarsenedOps: 155, ThreadsSpawned: 4, ThreadsReused: 2,
+			PerThread: []tt{
+				{Tid: 1, LocalWork: 5040, DetermWait: 154104, Commit: 10820, Fault: 4700, Lib: 12680},
+				{Tid: 2, LocalWork: 5039, DetermWait: 174723, Commit: 11520, Fault: 4700, Lib: 11560},
+				{Tid: 3, LocalWork: 5039, DetermWait: 195001, Commit: 11520, Fault: 4700, Lib: 6360},
+				{Tid: 4, LocalWork: 5040, DetermWait: 92278, Commit: 11520, Fault: 4700, Lib: 6360},
+				{Tid: 0, DetermWait: 122238, Commit: 2800, Lib: 244280},
+			},
+		}},
+		{"counter", counterProg(4, 20), 4, api.RunStats{
+			WallNS: 369118, LocalWorkNS: 20158, DetermWaitNS: 737384, CommitNS: 48180, FaultNS: 18800, LibNS: 281400,
+			Faults: 4, Versions: 8, CommittedPages: 8, PulledPages: 11, PeakPages: 12, PrefetchHits: 4, PrefetchMisses: 4,
+			TokenGrants: 25, SyncOps: 173, CoarsenedOps: 155, ThreadsSpawned: 4, ThreadsReused: 2,
+			PerThread: []tt{
+				{Tid: 1, LocalWork: 5040, DetermWait: 154104, Commit: 10820, Fault: 4700, Lib: 12680},
+				{Tid: 2, LocalWork: 5039, DetermWait: 174523, Commit: 11520, Fault: 4700, Lib: 11560},
+				{Tid: 3, LocalWork: 5039, DetermWait: 194801, Commit: 11520, Fault: 4700, Lib: 6360},
+				{Tid: 4, LocalWork: 5040, DetermWait: 92078, Commit: 11520, Fault: 4700, Lib: 6360},
+				{Tid: 0, DetermWait: 121878, Commit: 2800, Lib: 244440},
+			},
+		}},
+		{"forkjoin", forkJoinRoundsProg(3, 4), 2, api.RunStats{
+			WallNS: 375104, LocalWorkNS: 3024, DetermWaitNS: 594576, CommitNS: 68760, FaultNS: 42000, LibNS: 312280,
+			Faults: 12, Versions: 12, CommittedPages: 12, MergedPages: 9, PulledPages: 30, PeakPages: 11, PrefetchMisses: 12,
+			TokenGrants: 49, SyncOps: 37, ThreadsSpawned: 12, ThreadsReused: 10,
+			PerThread: []tt{
+				{Tid: 1, LocalWork: 102, DetermWait: 118318, Commit: 3980, Fault: 3500, Lib: 6680},
+				{Tid: 2, LocalWork: 202, DetermWait: 127858, Commit: 4680, Fault: 3500, Lib: 5480},
+				{Tid: 3, LocalWork: 302, DetermWait: 137178, Commit: 4680, Fault: 3500, Lib: 280},
+				{Tid: 4, LocalWork: 402, DetermWait: 22598, Commit: 5380, Fault: 3500, Lib: 1480},
+				{Tid: 5, LocalWork: 102, Commit: 4680, Fault: 3500, Lib: 5480},
+				{Tid: 6, LocalWork: 202, DetermWait: 6020, Commit: 5380, Fault: 3500, Lib: 5480},
+				{Tid: 7, LocalWork: 302, DetermWait: 13940, Commit: 5380, Fault: 3500, Lib: 4280},
+				{Tid: 8, LocalWork: 402, DetermWait: 18260, Commit: 5380, Fault: 3500, Lib: 6680},
+				{Tid: 9, LocalWork: 102, Commit: 4680, Fault: 3500, Lib: 5480},
+				{Tid: 10, LocalWork: 202, DetermWait: 6020, Commit: 5380, Fault: 3500, Lib: 5480},
+				{Tid: 11, LocalWork: 302, DetermWait: 13940, Commit: 5380, Fault: 3500, Lib: 4280},
+				{Tid: 12, LocalWork: 402, DetermWait: 18260, Commit: 5380, Fault: 3500, Lib: 6680},
+				{Tid: 0, DetermWait: 112184, Commit: 8400, Lib: 254520},
+			},
+		}},
+		{"forkjoin", forkJoinRoundsProg(3, 4), 4, api.RunStats{
+			WallNS: 375264, LocalWorkNS: 3024, DetermWaitNS: 594976, CommitNS: 68760, FaultNS: 42000, LibNS: 312440,
+			Faults: 12, Versions: 12, CommittedPages: 12, MergedPages: 9, PulledPages: 30, PeakPages: 11, PrefetchMisses: 12,
+			TokenGrants: 49, SyncOps: 37, ThreadsSpawned: 12, ThreadsReused: 10,
+			PerThread: []tt{
+				{Tid: 1, LocalWork: 102, DetermWait: 118318, Commit: 3980, Fault: 3500, Lib: 6680},
+				{Tid: 2, LocalWork: 202, DetermWait: 127938, Commit: 4680, Fault: 3500, Lib: 5480},
+				{Tid: 3, LocalWork: 302, DetermWait: 137338, Commit: 4680, Fault: 3500, Lib: 280},
+				{Tid: 4, LocalWork: 402, DetermWait: 22758, Commit: 5380, Fault: 3500, Lib: 1480},
+				{Tid: 5, LocalWork: 102, Commit: 4680, Fault: 3500, Lib: 5480},
+				{Tid: 6, LocalWork: 202, DetermWait: 6020, Commit: 5380, Fault: 3500, Lib: 5480},
+				{Tid: 7, LocalWork: 302, DetermWait: 13940, Commit: 5380, Fault: 3500, Lib: 4280},
+				{Tid: 8, LocalWork: 402, DetermWait: 18260, Commit: 5380, Fault: 3500, Lib: 6680},
+				{Tid: 9, LocalWork: 102, Commit: 4680, Fault: 3500, Lib: 5480},
+				{Tid: 10, LocalWork: 202, DetermWait: 6020, Commit: 5380, Fault: 3500, Lib: 5480},
+				{Tid: 11, LocalWork: 302, DetermWait: 13940, Commit: 5380, Fault: 3500, Lib: 4280},
+				{Tid: 12, LocalWork: 402, DetermWait: 18260, Commit: 5380, Fault: 3500, Lib: 6680},
+				{Tid: 0, DetermWait: 112184, Commit: 8400, Lib: 254680},
+			},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/shards=%d", tc.name, tc.shards), func(t *testing.T) {
+			_, _, rt := run(t, scaleOutCfg(tc.shards, 2), simhost.New(costmodel.Default()), tc.prog)
+			if got := rt.Stats(); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("modeled RunStats moved:\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
 	}

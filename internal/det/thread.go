@@ -46,23 +46,23 @@ type Thread struct {
 	holding bool // holds the global token
 
 	// worker is the pooled worker this thread runs on (nil for the root
-	// thread, and for every thread when Config.WorkerPool is off).
+	// thread, and for every thread when Shards < 2).
 	worker *worker
 	// curShard is the arbitration shard of the sync op in progress, -1
 	// for cross-shard edges and whenever sharding is off. Set by
 	// syncOpStart (Join overrides it with the child's home shard, a
-	// waker's retarget refreshes it in blockForToken), consumed by the
-	// handoff and release charge sites; under ShardGrants it is also the
-	// request scope passed to the arbiter.
+	// waker's retarget refreshes it in blockForToken); it is the request
+	// scope passed to the arbiter and the scope the handoff and release
+	// charge sites price.
 	curShard int
-	// domShard is the thread's domain shard under ShardGrants: the shard
-	// of its most recent shardable op (home shard, tid mod Shards, until
-	// one happens). Exit is arbitrated there, and exit retargets parked
-	// joiners to it.
+	// domShard is the thread's domain shard (Shards >= 2): the shard of
+	// its most recent shardable op (home shard, tid mod Shards, until one
+	// happens). Spawn and exit are arbitrated there, and exit retargets
+	// parked joiners to it.
 	domShard int
 	// tokenAcqNS is the host time at which the thread's current token
 	// hold began (after any sub-token-busy top-up); releaseTokenRaw
-	// accrues the held span to the scope's busy bucket. ShardGrants only.
+	// accrues the held span to the scope's busy bucket. Shards >= 2 only.
 	tokenAcqNS int64
 
 	coarse          coarsenState
@@ -439,21 +439,22 @@ func (t *Thread) acquireToken() {
 	t.speculate()
 	t.publishPending()
 	t.account(obs.PhaseCompute)
-	// End-of-chunk clock read. Legacy and stage-1 sharding publish the
+	// End-of-chunk clock read. The single-token scheduler publishes the
 	// chunk count through the syscall path (the user-space fast path
 	// applies only inside coarsened chunks, see tokenBegin). Under
 	// per-shard granting a shard-scoped op instead publishes to the
 	// shard's in-process clock word — a user-space store, same price as
 	// the in-chunk fast path; only global edges (barriers and other
 	// all-shard rendezvous) still pay the syscall to fold every shard.
+	sharded := t.rt.shardSet != nil
 	clockRead := m.SyscallClockRead
-	if t.rt.cfg.ShardGrants && t.curShard >= 0 {
+	if sharded && t.curShard >= 0 {
 		clockRead = m.UserClockRead
 	}
 	t.charge(obs.PhaseLib, clockRead)
 	woken := false
 	var g int
-	if t.rt.cfg.ShardGrants {
+	if sharded {
 		g = t.rt.arb.RequestSharded(t.tid, t.curShard)
 	} else {
 		g = t.rt.arb.Request(t.tid)
@@ -471,66 +472,45 @@ func (t *Thread) acquireToken() {
 	t.toOverflow = 0
 }
 
-// chargeHandoff prices taking the global token. The price depends on how
-// the token arrived, never on anything that could change grant order:
-//
-//   - Legacy (Shards < 2, no lazy FF): the full Model.TokenHandoff,
-//     exactly the pre-scale-out time model.
-//   - Lazy fast-forward (woken wake paths): the slim Model.WakeHandoff on
-//     the wake, plus the deferred Model.FastForwardResync charged here —
-//     when the thread actually takes the token — as its own phase.
-//   - Sharded arbitration, shardable op: a shard-local sub-token
-//     re-acquire (this thread was the shard's last holder) costs only
-//     Model.ShardHandoff; a sub-token transfer costs the full handoff.
-//   - Sharded arbitration, cross-shard edge: the full handoff plus
-//     (Shards−1) × Model.ShardClockRead to fold every shard clock.
-//   - Per-shard granting (ShardGrants): the stage-2 pricing and
-//     virtual-time anchoring in chargeShardedHandoff.
+// chargeHandoff prices taking the global token. The single-token
+// scheduler pays the full Model.TokenHandoff, exactly the pre-scale-out
+// time model; the scale-out scheduler prices by scope in
+// chargeShardedHandoff. The price depends on how the token arrived,
+// never on anything that could change grant order.
 func (t *Thread) chargeHandoff(woken bool) {
+	if ss := t.rt.shardSet; ss != nil {
+		t.chargeShardedHandoff(ss, woken)
+		return
+	}
+	t.charge(obs.PhaseHandoff, t.rt.cfg.Model.TokenHandoff)
+}
+
+// chargeShardedHandoff prices taking the token under per-shard granting
+// and anchors the op in its scope's virtual time (docs/scheduler.md). The
+// op may not begin before its scope's frontier — the instant the scope's
+// previous op released, i.e. the sub-token-busy model. Wakes are already
+// anchored there (Runtime.deliverFrom), so the top-up below is usually
+// zero for woken threads; it is what serializes the immediate-grant path
+// behind the sub-token.
+//
+// Pricing starts from the full Model.TokenHandoff, or — for a woken
+// thread under lazy fast-forward — the slim Model.WakeHandoff plus the
+// deferred Model.FastForwardResync, charged here as its own phase when
+// the thread actually takes the token. A shard-local re-acquire then
+// costs Model.ShardHandoff, a within-shard transfer Model.ShardTransfer
+// (one holder cache line plus the shard clock, no global fold), and a
+// cross-shard edge the base handoff plus (Shards−1) ×
+// Model.ShardClockRead for the fold of every shard clock — after which
+// every partition's sub-token is engaged (SetAllHolders).
+func (t *Thread) chargeShardedHandoff(ss *clock.ShardSet, woken bool) {
 	cfg := &t.rt.cfg
 	m := &cfg.Model
 	base := m.TokenHandoff
 	var ff int64
-	if woken && cfg.FastForward && cfg.LazyFastForward {
+	if woken && cfg.FastForward {
 		base = m.WakeHandoff
 		ff = m.FastForwardResync
 	}
-	if ss := t.rt.shardSet; ss != nil {
-		if cfg.ShardGrants {
-			t.chargeShardedHandoff(ss, base, ff)
-			return
-		}
-		if t.curShard >= 0 {
-			if ss.NoteGrant(t.curShard, t.tid) && m.ShardHandoff < base+ff {
-				// The sub-token never left this thread: no transfer, no
-				// deferred resync to pay.
-				base, ff = m.ShardHandoff, 0
-			}
-		} else {
-			ss.Merge(t.icount)
-			base += int64(ss.Shards()-1) * m.ShardClockRead
-		}
-	}
-	t.charge(obs.PhaseHandoff, base)
-	if ff > 0 {
-		t.charge(obs.PhaseFastForward, ff)
-	}
-}
-
-// chargeShardedHandoff prices taking the token under per-shard granting
-// and anchors the op in its scope's virtual time (stage 2,
-// docs/scheduler.md). The op may not begin before its scope's frontier —
-// the instant the scope's previous op released, i.e. the sub-token-busy
-// model. Wakes are already anchored there (Runtime.deliverFrom), so the
-// top-up below is usually zero for woken threads; it is what serializes
-// the immediate-grant path behind the sub-token. Pricing: a shard-local
-// re-acquire costs Model.ShardHandoff, a within-shard transfer
-// Model.ShardTransfer (one holder cache line plus the shard clock, no
-// global fold), and a cross-shard edge the full base handoff plus
-// (Shards−1) × Model.ShardClockRead for the fold of every shard clock —
-// after which every partition's sub-token is engaged (SetAllHolders).
-func (t *Thread) chargeShardedHandoff(ss *clock.ShardSet, base, ff int64) {
-	m := &t.rt.cfg.Model
 	scope := t.curShard
 	if t.rt.timed {
 		if f := ss.Frontier(scope); f > t.b.Now() {
@@ -562,7 +542,9 @@ func (t *Thread) chargeShardedHandoff(ss *clock.ShardSet, base, ff int64) {
 // sharded arbitration the release clock is also published to the op's
 // shard (or, for a cross-shard edge, to every shard) before the arbiter
 // hands the token on, so the next holder observes up-to-date shard
-// clocks.
+// clocks. So is the scope's virtual-time frontier, so a grant-time wake
+// anchors against this op's release instant; the held span accrues to
+// the scope's busy bucket for the grant-parallelism metric.
 func (t *Thread) releaseTokenRaw() {
 	t.publishPending()
 	t.holding = false
@@ -573,15 +555,9 @@ func (t *Thread) releaseTokenRaw() {
 		} else {
 			ss.ReleaseAll(t.icount)
 		}
-		if t.rt.cfg.ShardGrants {
-			// Publish the scope's virtual-time frontier BEFORE the arbiter
-			// hands the token on, so a grant-time wake anchors against this
-			// op's release instant; accrue the held span to the scope's
-			// busy bucket for the grant-parallelism metric.
-			now := t.b.Now()
-			ss.PublishFrontier(t.curShard, now)
-			ss.AddBusy(t.curShard, now-t.tokenAcqNS)
-		}
+		now := t.b.Now()
+		ss.PublishFrontier(t.curShard, now)
+		ss.AddBusy(t.curShard, now-t.tokenAcqNS)
 	}
 	t.deliver(t.rt.arb.Release(t.tid))
 }
@@ -604,7 +580,7 @@ func (t *Thread) blockForToken(phase int32, reason string) {
 	t.speculate() // overlap the sleep with pre-diffing, like acquireToken
 	t.park(phase, reason)
 	t.resyncClock()
-	if t.rt.cfg.ShardGrants {
+	if t.rt.shardSet != nil {
 		// The waker may have retargeted our request scope while we slept
 		// (exit does, pointing joiners at the child's actual domain shard);
 		// refresh the local mirror so this op releases into the scope the
@@ -723,7 +699,7 @@ func (t *Thread) commitAndUpdate() {
 // chain (curShard is the scope the token was granted under, refreshed on
 // every syncOpStart and after waker-retargeted wakeups).
 func (t *Thread) record(op trace.Op, obj uint64) {
-	if t.rt.cfg.ShardGrants {
+	if t.rt.shardSet != nil {
 		t.rt.rec.RecordSharded(t.tid, op, obj, t.icount, t.curShard)
 		return
 	}
@@ -804,40 +780,41 @@ const (
 func siteID(kind, obj uint64) uint64 { return kind<<56 | obj&(1<<56-1) }
 
 // shardOf maps a sync site to its arbitration shard: lock-object
-// operations shard by object id through the configured Sharder (and move
-// the thread's domain shard); barriers, forks and joins are cross-shard
-// edges (-1). Under per-shard granting (stage 2) spawn and exit are
-// instead arbitrated in the acting thread's domain shard, and a join is
-// scoped to the child's home (threads.go) — only barriers and other
-// rendezvous ops remain global edges. Only called when sharding is on. A
-// Sharder that returns an out-of-range shard is a configuration bug
-// surfaced as a RuntimeError, not silently clamped.
+// operations shard by object id (and move the thread's domain shard);
+// spawn and exit are arbitrated in the acting thread's domain shard (a
+// joiner is retargeted to the exit's domain, see threads.go), so
+// fork/join programs do not rendezvous every partition per lifecycle op;
+// a join is scoped to the child's home (threads.go). Barriers and the
+// other rendezvous ops are cross-shard edges (-1). Only called when
+// sharding is on.
 func (t *Thread) shardOf(site uint64) int {
 	switch site >> 56 {
 	case siteLock, siteUnlock, siteCondWait, siteSignal, siteBroadcast:
-		obj := site & (1<<56 - 1)
-		sh := t.rt.sharder.Shard(obj, t.rt.cfg.Shards)
-		if sh < 0 || sh >= t.rt.cfg.Shards {
-			panic(t.runtimeError("bad-shard", "shard", obj,
-				"Sharder returned shard %d for object %d with %d shards", sh, obj, t.rt.cfg.Shards))
-		}
-		if t.rt.cfg.ShardGrants {
-			t.domShard = sh
-		}
-		return sh
+		t.domShard = shardOfObject(site&(1<<56-1), t.rt.cfg.Shards)
+		return t.domShard
 	case siteSpawn, siteExit:
-		// Stage 2 only: thread creation and destruction are ordered in the
-		// acting thread's domain shard (a joiner is retargeted to the
-		// exit's domain, see threads.go), so fork/join programs do not
-		// rendezvous every partition per lifecycle op. Stage 1 keeps both
-		// as global edges — its pricing-only time model is frozen.
-		if t.rt.cfg.ShardGrants {
-			return t.domShard
-		}
-		return -1
+		return t.domShard
 	default:
 		return -1
 	}
+}
+
+// shardOfObject maps a sync-object id to its arbitration shard: fnv32a
+// over the id's eight little-endian bytes, modulo the shard count. FNV
+// spreads the runtime's densely-allocated object ids (tid-and-sequence
+// composites) evenly across shards, where a bare modulo would alias
+// objects allocated by the same thread into the same shard.
+func shardOfObject(obj uint64, shards int) int {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < 8; i++ {
+		h ^= uint32(obj >> (8 * i) & 0xff)
+		h *= prime32
+	}
+	return int(h % uint32(shards))
 }
 
 // syncOpStart updates per-thread chunk statistics at the start of every

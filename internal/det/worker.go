@@ -11,7 +11,7 @@ import (
 
 // worker is a reusable host task (goroutine on the real host, proc on the
 // simulation host) that runs deterministic threads one after another
-// (Config.WorkerPool, docs/scheduler.md). Between threads it parks on the
+// (Config.Shards >= 2, docs/scheduler.md). Between threads it parks on the
 // runtime's free list; a Spawn adopts it by popping the list, assigning
 // next/fn under the token, and waking it. Everything that decides *which*
 // worker runs *which* thread happens token-held, so placement — and with
@@ -63,8 +63,8 @@ type worker struct {
 // spawnWorker creates a worker host task. With child == nil this is a
 // pre-spawned idle worker: it charges its own creation cost and waits on
 // the free list. With a child, the worker runs it immediately (the fresh
-// spawn path under WorkerPool; the spawner has already paid the fork
-// charge and pre-assigned next before the task starts).
+// spawn path when no worker is parked; the spawner has already paid the
+// fork charge and pre-assigned next before the task starts).
 func (rt *Runtime) spawnWorker(child *Thread, fn func(api.T), parent host.Binding) {
 	w := &worker{seq: rt.workerSeq, selfCharge: child == nil, next: child, fn: fn}
 	rt.workerSeq++
@@ -120,26 +120,21 @@ func (rt *Runtime) runWorker(w *worker, b host.Binding) {
 			// Worker-side warm-up, off the spawner's critical path: rebind
 			// the still-live mappings to the new tid and pull the view
 			// forward to the pinned spawn-time head — the same logical
-			// operations the legacy workspace pool performed on the
+			// operations the single-token workspace pool performs on the
 			// spawner, with identical results, but priced as a live-worker
 			// rebind (WorkerWarmup) rather than a cold-pool rebuild
-			// (PoolReuse) and placed on the worker's own timeline.
+			// (PoolReuse) and placed on the worker's own timeline. The
+			// rebind is scheduling work, but the view pull-forward is the
+			// same commit propagation that a barrier exit charges to the
+			// commit phase (sync.go), so it is charged there too and the
+			// phases mean the same thing at every view-advance site.
 			pulls := int64(t.ws.UpdateTo(w.head))
 			if w.warmPulls > 0 {
 				pulls, w.warmPulls = w.warmPulls, 0
 			}
-			if rt.cfg.ShardGrants {
-				// Stage 2 accounting: the rebind is scheduling work, but the
-				// view pull-forward is the same commit-propagation that a
-				// barrier exit charges to the commit phase (sync.go) — split
-				// the charge the same way so the phases mean the same thing
-				// at every view-advance site.
-				t.charge(obs.PhaseSpawn, m.WorkerWarmup)
-				if pulls > 0 {
-					t.charge(obs.PhaseCommit, pulls*m.UpdatePage)
-				}
-			} else {
-				t.charge(obs.PhaseSpawn, m.WorkerWarmup+pulls*m.UpdatePage)
+			t.charge(obs.PhaseSpawn, m.WorkerWarmup)
+			if pulls > 0 {
+				t.charge(obs.PhaseCommit, pulls*m.UpdatePage)
 			}
 			w.warm = false
 		}
@@ -171,8 +166,8 @@ func (rt *Runtime) parkIdle(w *worker, b host.Binding) {
 // Caller holds rt.mu; callers other than pre-spawn hold the token, which
 // is what makes the list order — and so each adoption — replay-stable.
 // Keys are (exit clock, tid) for exited workers and (-1, -seq) for
-// pre-spawned ones, so adoptions prefer the warmest recently-exited
-// worker and fall back to cold pre-spawned slots in creation order.
+// pre-spawned ones, so the cold pre-spawned slots sort first (newest
+// first), then exited workers from the longest-parked to the warmest.
 func (rt *Runtime) insertWorkerLocked(w *worker, key [2]int64) {
 	w.key = key
 	i := len(rt.workers)
@@ -188,17 +183,16 @@ func (rt *Runtime) insertWorkerLocked(w *worker, key [2]int64) {
 	rt.workers[i] = w
 }
 
-// popWorker removes and returns the worker for a child about to be spawned
-// as tid, or nil. Stage 1 pops the highest-keyed (warmest) worker. Under
-// per-shard granting the child's *arbitration* placement is already fixed
+// popWorker removes and returns the worker for the child about to be
+// spawned, or nil. The child's *arbitration* placement is already fixed
 // by its tid-derived home shard (exit and join order in that domain, see
-// threads.go), so the free-list choice is pure warmth scheduling, and
-// stage 2 inverts it: pop the *coldest* worker. In a fork-round, early
-// dispatches then absorb the stale workers' warm-up pulls while the
-// spawner is still dispatching the rest, so the last-dispatched child —
-// the one the join's critical path runs through — adopts the warmest
-// worker and starts almost immediately. Both rules read only the
-// token-held key order, so placement stays replay-stable.
+// threads.go), so the free-list choice is pure warmth scheduling: pop the
+// *coldest* (lowest-keyed) worker. In a fork-round, early dispatches then
+// absorb the stale workers' warm-up pulls while the spawner is still
+// dispatching the rest, so the last-dispatched child — the one the join's
+// critical path runs through — adopts the warmest worker and starts almost
+// immediately. The rule reads only the token-held key order, so placement
+// stays replay-stable.
 //
 // Even a worker whose task has not yet started (b still unset — possible
 // on the real host between Go and the goroutine's first instruction) is
@@ -207,19 +201,14 @@ func (rt *Runtime) insertWorkerLocked(w *worker, key [2]int64) {
 // skips its initial park instead of requiring a wake. Adoption therefore
 // never races with startup, and the pop — the token-held placement
 // decision — is replay-stable by list position alone.
-func (rt *Runtime) popWorker(tid int) *worker {
+func (rt *Runtime) popWorker() *worker {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	n := len(rt.workers)
-	if n == 0 {
+	if len(rt.workers) == 0 {
 		return nil
 	}
-	i := n - 1
-	if rt.cfg.ShardGrants {
-		i = 0
-	}
-	w := rt.workers[i]
-	rt.workers = append(rt.workers[:i], rt.workers[i+1:]...)
+	w := rt.workers[0]
+	rt.workers = append(rt.workers[:0], rt.workers[1:]...)
 	return w
 }
 

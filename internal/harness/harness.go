@@ -53,14 +53,13 @@ type Options struct {
 	Threads int
 	Scale   int
 	Seed    int64
-	// Shards, when >= 2, applies the scheduler scale-out set
-	// (det.Config.EnableScaleOut): sharded token arbitration with
-	// per-shard granting authority (docs/scheduler.md stage 2) plus the
-	// worker pool pre-spawned to Threads and lazy fast-forward. Consequence
-	// runtimes only; the cell's checksum is unchanged by construction.
+	// Shards, when >= 2, selects the scale-out scheduler
+	// (det.Config.EnableScaleOut, docs/scheduler.md): per-shard granting
+	// with the worker pool pre-spawned to Threads. Consequence runtimes
+	// only; the cell's checksum is unchanged by construction.
 	Shards int
 	// Modify tweaks the det configuration (ablations, coarsening sweeps);
-	// it runs after Shards is applied, so it can override the trio.
+	// it runs after Shards is applied, so it can override it.
 	// Only honoured by the Consequence runtimes.
 	Modify func(*det.Config)
 	// WithLRC attaches the happens-before propagation tracker
@@ -113,6 +112,23 @@ type Result struct {
 	LRCPages int64
 	// Replica carries the fleet's counters when Options.Replicas was set.
 	Replica *replica.FleetStats
+}
+
+// RunMeta is the run metadata a cell's journal and commit log record:
+// enough to re-execute the run (conseq-diff -live reads it back). shards
+// is the effective count, so 0 and 1 both record 1.
+func RunMeta(o Options) map[string]string {
+	return map[string]string{
+		"bench":   o.Bench,
+		"runtime": string(o.Runtime),
+		"threads": fmt.Sprint(o.Threads),
+		"scale":   fmt.Sprint(o.Scale),
+		"seed":    fmt.Sprint(o.Seed),
+		"shards":  fmt.Sprint(max(o.Shards, 1)),
+		// Grant mode matters when diffing journals: per-shard granting
+		// orders events differently from the single token.
+		"shard-grants": fmt.Sprint(o.Shards >= 2),
+	}
 }
 
 // Run executes one configuration on a fresh simulation host. (Named
@@ -177,17 +193,7 @@ func Run(o Options) (res Result, retErr error) {
 			drt.SetObserver(o.Observer)
 		}
 		if o.JournalPath != "" {
-			jw, err := journal.Create(o.JournalPath, map[string]string{
-				"bench":   o.Bench,
-				"runtime": string(o.Runtime),
-				"threads": fmt.Sprint(o.Threads),
-				"scale":   fmt.Sprint(o.Scale),
-				"seed":    fmt.Sprint(o.Seed),
-				"shards":  fmt.Sprint(max(o.Shards, 1)),
-				// Grant mode matters when diffing journals: per-shard
-				// granting orders events differently from stage 1.
-				"shard-grants": fmt.Sprint(o.Shards >= 2),
-			})
+			jw, err := journal.Create(o.JournalPath, RunMeta(o))
 			if err != nil {
 				return Result{}, err
 			}
@@ -199,17 +205,7 @@ func Run(o Options) (res Result, retErr error) {
 			}()
 		}
 		if o.CommitLogDir != "" {
-			cl, err = commitlog.Create(o.CommitLogDir, commitlog.Options{
-				Meta: map[string]string{
-					"bench":        o.Bench,
-					"runtime":      string(o.Runtime),
-					"threads":      fmt.Sprint(o.Threads),
-					"scale":        fmt.Sprint(o.Scale),
-					"seed":         fmt.Sprint(o.Seed),
-					"shards":       fmt.Sprint(max(o.Shards, 1)),
-					"shard-grants": fmt.Sprint(o.Shards >= 2),
-				},
-			})
+			cl, err = commitlog.Create(o.CommitLogDir, commitlog.Options{Meta: RunMeta(o)})
 			if err != nil {
 				return Result{}, err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,6 +149,26 @@ func TestJournalPathOption(t *testing.T) {
 		JournalPath: filepath.Join(dir, "p.csqj"),
 	}); err == nil {
 		t.Error("journaling accepted on a non-consequence runtime")
+	}
+}
+
+// RunMeta records every key conseq-diff's live re-execution reads back,
+// with the effective shard count: 0 and 1 are the same scheduler.
+func TestRunMeta(t *testing.T) {
+	o := Options{Bench: "kmeans", Runtime: KindConsequenceIC, Threads: 8, Scale: 1, Seed: 42}
+	for _, tc := range []struct {
+		shards       int
+		want, grants string
+	}{{0, "1", "false"}, {1, "1", "false"}, {4, "4", "true"}} {
+		o.Shards = tc.shards
+		m := RunMeta(o)
+		want := map[string]string{
+			"bench": "kmeans", "runtime": "consequence-ic", "threads": "8", "scale": "1",
+			"seed": "42", "shards": tc.want, "shard-grants": tc.grants,
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Errorf("RunMeta(shards=%d) = %v, want %v", tc.shards, m, want)
+		}
 	}
 }
 

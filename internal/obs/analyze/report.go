@@ -35,7 +35,7 @@ type Report struct {
 	Commits      CommitSummary `json:"commits"`
 	// Coarsening holds the §3.1 what-if estimates per fusion factor k.
 	Coarsening []WhatIf `json:"coarsening_what_if"`
-	// Sharding is the per-shard arbiter breakdown under stage-2 per-shard
+	// Sharding is the per-shard arbiter breakdown under per-shard
 	// granting; nil (and omitted) for unsharded runs and trace-file inputs.
 	Sharding *ShardingReport `json:"sharding,omitempty"`
 	// Replication attributes writer backpressure (commit-log append

@@ -2,8 +2,8 @@
 # Scheduler micro-benchmarks: the token ping-pong (BenchmarkTokenHandoff)
 # at 1 and 4 arbitration shards, the thread fork/join lifecycle
 # (BenchmarkForkJoin) legacy vs pooled, and the per-shard granting sweep
-# (BenchmarkGrantParallel at 1/2/4/8 shards; see docs/scheduler.md stage
-# 2). Emits BENCH_sched.json in the repo root — machine-readable ns/op so
+# (BenchmarkGrantParallel at 1/2/4/8 shards; see docs/scheduler.md).
+# Emits BENCH_sched.json in the repo root — machine-readable ns/op so
 # perf regressions in the scheduler hot paths are diffable across commits
 # (scripts/check.sh compares a fresh run against the committed file with a
 # tolerance band). Run via `make bench-sched` or scripts/check.sh (smoke

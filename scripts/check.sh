@@ -25,8 +25,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (obs + det + chaos + replica + mem + commitlog + journal)"
-go test -race ./internal/obs/... ./internal/det ./internal/chaos/... ./internal/replica ./internal/mem ./internal/commitlog ./internal/journal
+echo "== go test -race (obs + det + clock + harness + chaos + replica + mem + commitlog + journal)"
+go test -race ./internal/obs/... ./internal/det ./internal/clock ./internal/harness ./internal/chaos/... ./internal/replica ./internal/mem ./internal/commitlog ./internal/journal
 
 echo "== conseq-analyze smoke (golden trace)"
 go run ./cmd/conseq-analyze -input internal/obs/testdata/golden_trace.json >/dev/null
@@ -50,7 +50,7 @@ go build -o "$conseq_replay_bin" ./cmd/conseq-replay
 # seed=42 on the simulation host. The checksum pins program results at
 # EVERY shard count: per-shard granting must never move what the program
 # computes. The trace hash is pinned per shard count — under per-shard
-# granting (shards >= 2, docs/scheduler.md stage 2) the merge rule may
+# granting (shards >= 2, docs/scheduler.md) the merge rule may
 # legitimately reorder independent grants between shards, so each shard
 # count has its own golden interleave, and that interleave must be
 # byte-stable across runs, hosts, prediction, and chaos. Regenerate a
