@@ -25,7 +25,6 @@ package det
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -308,11 +307,10 @@ type Runtime struct {
 	// exactly when cfg.Shards >= 2, and every scale-out branch tests it.
 	shardSet *clock.ShardSet
 
-	// diagMu guards heldLocks: per-tid held mutex ids for failure
+	// diagMu guards every Thread's heldLocks: held mutex ids for failure
 	// diagnostics (RuntimeError, DumpState). Ownership changes are
 	// token-serialized, but diagnostic readers run on other goroutines.
-	diagMu    sync.Mutex
-	heldLocks map[int]map[uint64]bool
+	diagMu sync.Mutex
 
 	// token-serialized state (mutated only while holding the token)
 	nextTid      int
@@ -755,7 +753,7 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 				Clock:     target.diagClock.Load(),
 				Phase:     diagNames[target.diagPhase.Load()],
 				Op:        "wake",
-				HeldLocks: rt.heldLocksOf(target.tid),
+				HeldLocks: rt.heldLocksOf(target),
 				Detail:    fmt.Sprintf("waking tid %d which already holds a wake permit: %v", target.tid, r),
 			})
 		}
@@ -777,14 +775,14 @@ func (rt *Runtime) deliverFrom(waker host.Binding, grant int) {
 
 // Checksum implements api.Runtime: FNV-1a over the final committed state.
 func (rt *Runtime) Checksum() uint64 {
-	h := fnv.New64a()
+	h := mem.FNVOffset64
 	buf := make([]byte, rt.seg.PageSize())
 	at := rt.seg.Head()
 	for pg := 0; pg < rt.seg.NumPages(); pg++ {
 		rt.seg.ReadCommitted(buf, pg*rt.seg.PageSize(), at)
-		h.Write(buf)
+		h = mem.FNV1a(h, buf)
 	}
-	return h.Sum64()
+	return h
 }
 
 // Stats implements api.Runtime.

@@ -2,6 +2,7 @@ package det
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,7 +87,7 @@ func (t *Thread) runtimeError(code, op string, obj uint64, format string, a ...a
 		Phase:          diagNames[t.diagPhase.Load()],
 		Op:             op,
 		Object:         obj,
-		HeldLocks:      t.rt.heldLocksOf(t.tid),
+		HeldLocks:      t.rt.heldLocksOf(t),
 		PendingCommits: t.ws.DirtyPages(),
 		Detail:         fmt.Sprintf(format, a...),
 	}
@@ -106,41 +107,30 @@ func (t *Thread) park(phase int32, reason string) {
 	t.diagPhase.Store(diagRunning)
 }
 
-// noteLockHeld records (or erases) tid's ownership of a mutex for failure
-// diagnostics. Ownership changes are token-serialized; the map is still
-// mutex-guarded because DumpState and RuntimeError construction read it
-// from arbitrary goroutines.
-func (rt *Runtime) noteLockHeld(tid int, mutexID uint64, held bool) {
+// noteLockHeld records (or erases) t's ownership of a mutex for failure
+// diagnostics. Ownership changes are token-serialized; the held list is
+// still guarded by diagMu because DumpState and RuntimeError construction
+// read it from arbitrary goroutines. A thread holds few mutexes at once,
+// so a slice beats a set.
+func (rt *Runtime) noteLockHeld(t *Thread, mutexID uint64, held bool) {
 	rt.diagMu.Lock()
-	defer rt.diagMu.Unlock()
-	if rt.heldLocks == nil {
-		rt.heldLocks = make(map[int]map[uint64]bool)
-	}
-	set := rt.heldLocks[tid]
 	if held {
-		if set == nil {
-			set = make(map[uint64]bool)
-			rt.heldLocks[tid] = set
-		}
-		set[mutexID] = true
-	} else {
-		delete(set, mutexID)
+		t.heldLocks = append(t.heldLocks, mutexID)
+	} else if i := slices.Index(t.heldLocks, mutexID); i >= 0 {
+		t.heldLocks = slices.Delete(t.heldLocks, i, i+1)
 	}
+	rt.diagMu.Unlock()
 }
 
-// heldLocksOf returns a sorted copy of tid's held mutex ids.
-func (rt *Runtime) heldLocksOf(tid int) []uint64 {
+// heldLocksOf returns a sorted copy of t's held mutex ids.
+func (rt *Runtime) heldLocksOf(t *Thread) []uint64 {
 	rt.diagMu.Lock()
 	defer rt.diagMu.Unlock()
-	set := rt.heldLocks[tid]
-	if len(set) == 0 {
+	if len(t.heldLocks) == 0 {
 		return nil
 	}
-	ids := make([]uint64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.Clone(t.heldLocks)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -166,7 +156,7 @@ func (rt *Runtime) DumpState() string {
 	for _, tid := range tids {
 		th := byTid[tid]
 		fmt.Fprintf(&b, "  t%-4d phase=%-12s clock=%-12d held-locks=%v\n",
-			tid, diagNames[th.diagPhase.Load()], th.diagClock.Load(), rt.heldLocksOf(tid))
+			tid, diagNames[th.diagPhase.Load()], th.diagClock.Load(), rt.heldLocksOf(th))
 	}
 	b.WriteString(rt.arb.DumpState())
 	if rt.shardSet != nil {

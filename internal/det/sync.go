@@ -80,7 +80,7 @@ func (t *Thread) Lock(mx api.Mutex) {
 		t.tokenBegin()
 		if !m.locked {
 			m.locked, m.owner, m.acquiredAt = true, t.tid, t.icount
-			t.rt.noteLockHeld(t.tid, m.id, true)
+			t.rt.noteLockHeld(t, m.id, true)
 			t.record(trace.OpLock, m.id)
 			t.noteLockAcquire(m.id)
 			if h := t.rt.hooks; h != nil {
@@ -136,7 +136,7 @@ func (t *Thread) unlockLocked(m *dMutex, op trace.Op) {
 	}
 	m.csEWMA.update(float64(t.icount - m.acquiredAt))
 	m.locked, m.owner = false, -1
-	t.rt.noteLockHeld(t.tid, m.id, false)
+	t.rt.noteLockHeld(t, m.id, false)
 	t.record(op, m.id)
 	if h := t.rt.hooks; h != nil {
 		h.OnRelease(t.tid, m.id)
@@ -178,7 +178,7 @@ func (t *Thread) Wait(cx api.Cond, mx api.Mutex) {
 		t.blockForToken(diagMutexWait, "mutex "+strconv.FormatUint(m.id, 10))
 	}
 	m.locked, m.owner, m.acquiredAt = true, t.tid, t.icount
-	t.rt.noteLockHeld(t.tid, m.id, true)
+	t.rt.noteLockHeld(t, m.id, true)
 	t.record(trace.OpLock, m.id)
 	t.noteLockAcquire(m.id)
 	if h := t.rt.hooks; h != nil {

@@ -125,6 +125,9 @@ type Thread struct {
 	// trail its true clock — fine for a diagnostic dump.
 	diagPhase atomic.Int32
 	diagClock atomic.Int64
+	// heldLocks lists the mutexes the thread holds, in acquisition order
+	// (Runtime.noteLockHeld); guarded by rt.diagMu.
+	heldLocks []uint64
 
 	// exit/join state, token-serialized
 	done    bool
@@ -723,7 +726,7 @@ func (t *Thread) journalCommit(v *mem.Version) {
 		Tid:     t.tid,
 		Clock:   t.icount,
 	}
-	c.Pages = make([]journal.PageHash, 0, len(v.Pages))
+	c.Pages = make([]journal.PageHash, 0, v.PageCount())
 	v.ForEachPageHash(func(pg int, h uint64) {
 		c.Pages = append(c.Pages, journal.PageHash{Page: pg, Hash: h})
 	})
@@ -748,7 +751,7 @@ func (t *Thread) logCommit(v *mem.Version) {
 		Tid:     t.tid,
 		Clock:   t.icount,
 	}
-	c.Pages = make([]commitlog.PageDiff, 0, len(v.Pages))
+	c.Pages = make([]commitlog.PageDiff, 0, v.PageCount())
 	v.ForEachPageDiff(func(pg int, d mem.Diff) {
 		c.Pages = append(c.Pages, commitlog.PageDiff{Page: pg, Runs: d.Runs})
 	})

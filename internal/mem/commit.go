@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -36,18 +37,18 @@ type CommitStats struct {
 // implements Conversion's two-phase parallel commit (§4.2): phase one runs
 // under the runtime's global token and fixes the total order; phase two
 // does the expensive page merging and may run concurrently across threads.
+// It is a small value, returned by value so a commit allocates no handle.
 type PendingCommit struct {
-	seg     *Segment
 	version *Version // nil if the workspace had no changes
 	stats   CommitStats
 }
 
 // Stats returns the commit's accounting counters.
-func (pc *PendingCommit) Stats() CommitStats { return pc.stats }
+func (pc PendingCommit) Stats() CommitStats { return pc.stats }
 
 // Version returns the version this commit created, or nil if the workspace
 // had no modified bytes (the commit degenerated to an update).
-func (pc *PendingCommit) Version() *Version { return pc.version }
+func (pc PendingCommit) Version() *Version { return pc.version }
 
 // rediffParallelMin is the invalidated-page count at which BeginCommit
 // fans re-diffing across a worker pool instead of the inline loop;
@@ -62,14 +63,12 @@ const (
 	rediffWorkers     = 4
 )
 
-// rediff fills dp.spec for every page in misses. Pages are independent;
-// large sets are diffed by a small worker pool.
-func (ws *Workspace) rediff(misses []int) {
+// rediff sets the speculative diff of every page in misses. Pages are
+// independent; large sets are diffed by a small worker pool.
+func rediff(misses []*dirtyPage) {
 	if len(misses) < rediffParallelMin {
-		for _, pg := range misses {
-			dp := ws.dirty[pg]
-			d := dp.diff()
-			dp.spec = &d
+		for _, dp := range misses {
+			dp.prepare()
 		}
 		return
 	}
@@ -84,24 +83,16 @@ func (ws *Workspace) rediff(misses []int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, pg := range sub {
-				dp := ws.dirty[pg]
-				d := dp.diff()
-				dp.spec = &d
+			for _, dp := range sub {
+				dp.prepare()
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// touchedScratch returns the workspace's cleared pulled-page scratch set.
-func (ws *Workspace) touchedScratch() map[int]bool {
-	if ws.scratchTouched == nil {
-		ws.scratchTouched = make(map[int]bool)
-	}
-	clear(ws.scratchTouched)
-	return ws.scratchTouched
-}
+// byPage orders dirty pages by page index.
+func byPage(a, b *dirtyPage) int { return cmp.Compare(a.page, b.page) }
 
 // BeginCommit runs the serial phase of a commit: it assigns the next
 // version number, records which pages the version modifies together with
@@ -122,9 +113,14 @@ func (ws *Workspace) touchedScratch() map[int]bool {
 //
 // Pages whose bytes did not actually change are dropped (their fault was
 // wasted work, which the fault counter already recorded).
-func (ws *Workspace) BeginCommit() *PendingCommit {
+//
+// The path walks only slices: the workspace's dirty list, scratch lists
+// and the segment's page-indexed tables. Its only allocations are the
+// published version and its slot slice, plus the diffs of pages
+// re-diffed here; a commit that publishes nothing allocates nothing.
+func (ws *Workspace) BeginCommit() PendingCommit {
 	s := ws.seg
-	pc := &PendingCommit{seg: s}
+	var pc PendingCommit
 
 	// Serial decision 1 (locked): fix the pull window and collect the
 	// published slots that must patch our dirty pages.
@@ -133,9 +129,7 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	headBefore := s.head
 	var patches []*pageSlot
 	if oldV < headBefore {
-		touched := ws.touchedScratch()
-		patches = ws.pullLocked(headBefore, touched)
-		pc.stats.PulledPages = len(touched)
+		patches, pc.stats.PulledPages = ws.pullLocked(headBefore)
 	}
 	s.mu.Unlock()
 
@@ -146,158 +140,132 @@ func (ws *Workspace) BeginCommit() *PendingCommit {
 	// Diff dirty pages in deterministic (ascending page) order. Pages with
 	// valid speculative diffs are free; the invalidated rest are re-diffed
 	// here, fanned across a worker pool when there are many.
-	pages := ws.scratchPages[:0]
-	for pg := range ws.dirty {
-		pages = append(pages, pg)
-	}
-	slices.Sort(pages)
-	ws.scratchPages = pages
-
-	var misses []int
-	for _, pg := range pages {
-		if ws.dirty[pg].spec == nil {
-			misses = append(misses, pg)
+	pages := ws.dirtyList
+	slices.SortFunc(pages, byPage)
+	misses := ws.scratchMisses[:0]
+	for _, dp := range pages {
+		if !dp.specOK {
+			misses = append(misses, dp)
 		}
 	}
-	ws.rediff(misses)
+	rediff(misses)
+
+	// Split the pages, off the lock, into three kinds. Pages with a
+	// nonempty diff are published. Prefetched pages never written live
+	// through exactly one commit: fresh ones are kept (demoted to stale)
+	// so the chunk they were prefetched for — which runs after this very
+	// commit — still finds them; stale ones were a wasted prediction.
+	// Those and the other unchanged pages are dropped now. The empty diff
+	// keeps every unpublished page out of every commit statistic. A kept
+	// page stays byte-identical to the committed state at the workspace's
+	// new version: this commit does not publish it, and every prior patch
+	// imported remote bytes into data and twin alike. The dirty list is
+	// compacted in place to the kept pages.
+	pub := ws.scratchPub[:0]
+	kept := pages[:0]
+	var wasted int64
+	freed := int64(0)
+	mi := 0
+	for _, dp := range pages {
+		miss := mi < len(misses) && misses[mi] == dp
+		if miss {
+			mi++
+		}
+		switch {
+		case !dp.spec.Empty():
+			pc.stats.DiffBytes += dp.spec.Bytes()
+			if miss {
+				pc.stats.SpecMisses++
+			} else {
+				pc.stats.SpecHits++
+			}
+			pub = append(pub, dp)
+		case ws.predict && dp.pf == pfFresh:
+			dp.pf = pfStale
+			kept = append(kept, dp)
+		default:
+			if dp.pf != pfNone {
+				wasted++
+			}
+			freed -= 2 // dirty copy and twin both freed
+			ws.drop(dp)
+		}
+	}
+	clear(pages[len(kept):])
+	ws.dirtyList = kept
+	clear(misses)
+	ws.scratchMisses = misses[:0]
+
+	var v *Version
+	if len(pub) > 0 {
+		// Commits are serialized, so the number is known before the lock.
+		v = &Version{Num: headBefore + 1, Committer: ws.tid, slots: make([]pageSlot, len(pub))}
+	}
 
 	// Serial decision 2 (locked): conflict checks against the latest table
 	// and version publication. Nothing below computes diffs; the lock
 	// covers only version construction and the latest/head update.
-	var slots []*pageSlot
-	kept := ws.scratchKept[:0]
-	var wasted int64
-	freed := int64(0)
-	mi := 0
 	s.mu.Lock()
-	for _, pg := range pages {
-		miss := mi < len(misses) && misses[mi] == pg
-		if miss {
-			mi++
-		}
-		dp := ws.dirty[pg]
-		diff := *dp.spec
-		if diff.Empty() {
-			// Prefetched pages never written live through exactly one
-			// commit: fresh ones are retained (demoted to stale) so the
-			// chunk they were prefetched for — which runs after this very
-			// commit — still finds them; stale ones were a wasted
-			// prediction and are dropped. Either way the empty diff keeps
-			// them out of every commit statistic.
-			if ws.predict && dp.pf == pfFresh {
-				dp.pf = pfStale
-				kept = append(kept, pg)
-				continue
-			}
-			if dp.pf != pfNone {
-				wasted++
-			}
-			freed -= 2 // dirty copy and twin both freed (resetDirty)
-			continue
-		}
-		slot := &pageSlot{
-			page: pg,
-			prev: s.latest[pg],
-			diff: diff,
-			seg:  s,
-		}
-		// A conflict means some other thread committed this page after our
-		// snapshot; phase 2 must merge rather than install our copy.
-		if slot.prev != nil && slot.prev.version.Num > oldV {
-			slot.conflict = true
-			freed -= 2 // our raw copy and twin freed; merge allocates
-		} else {
-			// Our copy becomes the committed page; resetDirty frees the
-			// twin.
-			slot.fastData = dp.data
-			dp.data = nil
-			freed--
-		}
-		pc.stats.DiffBytes += diff.Bytes()
-		if miss {
-			pc.stats.SpecMisses++
-		} else {
-			pc.stats.SpecHits++
-		}
-		slots = append(slots, slot)
-	}
-
-	if len(slots) == 0 {
+	if v == nil {
 		// Nothing to publish: behave as an update.
 		ws.version = headBefore
 		s.mu.Unlock()
-		ws.resetDirty(pages, kept)
 		s.allocPages(freed)
 		s.addPulled(int64(pc.stats.PulledPages))
 		s.notePrefetchWasted(wasted)
 		return pc
 	}
-
-	v := &Version{
-		Num:       headBefore + 1,
-		Committer: ws.tid,
-		Pages:     make(map[int]*pageSlot, len(slots)),
-		slots:     slots,
+	if s.latest == nil {
+		s.latest = make([]*pageSlot, s.npages)
 	}
-	for _, slot := range slots {
-		slot.version = v
-		v.Pages[slot.page] = slot
-		s.latest[slot.page] = slot
-		if slot.conflict {
+	for i, dp := range pub {
+		slot := &v.slots[i]
+		slot.page, slot.version, slot.prev, slot.diff, slot.seg = dp.page, v, s.latest[dp.page], dp.spec, s
+		// A conflict means some other thread committed this page after our
+		// snapshot; phase 2 must merge rather than install our copy.
+		if slot.prev != nil && slot.prev.version.Num > oldV {
+			slot.conflict = true
 			pc.stats.MergedPages++
+			freed -= 2 // our raw copy and twin freed; merge allocates
+		} else {
+			// Our copy becomes the committed page; drop frees the twin.
+			slot.fastData = dp.data
+			dp.data = nil
+			freed--
 		}
+		s.latest[dp.page] = slot
 	}
 	s.versions = append(s.versions, v)
 	s.head = v.Num
 	ws.version = v.Num
 	pc.version = v
-	pc.stats.CommittedPages = len(slots)
+	pc.stats.CommittedPages = len(pub)
 	s.mu.Unlock()
 
-	ws.resetDirty(pages, kept)
+	for _, dp := range pub {
+		ws.drop(dp)
+	}
+	clear(pub)
+	ws.scratchPub = pub[:0]
 	s.allocPages(freed)
 	s.noteCommit(pc.stats)
 	s.notePrefetchWasted(wasted)
 	return pc
 }
 
-// resetDirty clears the dirty set after a commit, retaining only the
-// prefetched pages in kept, and returns the dropped pages' dead buffers to
-// the page pool: every private twin, and every data copy the commit did
-// not publish (dropped unchanged pages, and conflict pages, whose merge
-// builds the committed page from the previous version instead). No reader
-// can reach them: dirty pages are the workspace's own. pages is the
-// commit's full (ascending) page list and kept an ascending subset of it;
-// both are workspace scratch. A retained page stays byte-identical to the
-// committed state at the workspace's new version: its own commit did not
-// publish it (empty diff), and every prior patch imported remote bytes
-// into data and twin alike.
-func (ws *Workspace) resetDirty(pages, kept []int) {
-	ws.scratchKept = kept
-	ki := 0
-	for _, pg := range pages {
-		if ki < len(kept) && kept[ki] == pg {
-			ki++
-			continue
-		}
-		ws.dirty[pg].release(ws.seg)
-		delete(ws.dirty, pg)
-	}
-}
-
 // Complete runs the merge phase: every page the version touches gets its
 // final content, merging the committer's diff over the previous version of
 // the page where a conflict exists. Safe to call from any goroutine;
 // multiple calls (and concurrent reader-forced resolution) are idempotent.
-func (pc *PendingCommit) Complete() {
+func (pc PendingCommit) Complete() {
 	if pc.version != nil {
 		pc.version.complete()
 	}
 }
 
 func (v *Version) complete() {
-	for _, slot := range v.slots {
-		slot.resolve()
+	for i := range v.slots {
+		v.slots[i].resolve()
 	}
 }
 

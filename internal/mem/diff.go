@@ -118,8 +118,20 @@ func nextSameByte(cur, twin []byte, i int) int {
 // The scan is word-wide (8 bytes per compare) in both the clean-skip and
 // the run-extent phases; the runs produced are identical to a
 // byte-at-a-time scan (FuzzComputeDiff pins this against the reference).
+//
+// A nonempty diff costs two allocations, both exact-size: the run list,
+// and one buffer that every run's Data slices. The run extents are
+// gathered first into a stack array (growing onto the heap only for
+// pages with more than diffStackRuns runs). The buffers are never
+// recycled: a published diff is read by phase-2 merges, by pulls into
+// other workspaces and by the commit log's drain goroutine, which
+// encodes the runs after the commit returns without copying them, so no
+// point in the commit path could know the last reader is done.
 func computeDiff(cur, twin []byte) Diff {
-	var d Diff
+	type extent struct{ lo, hi int }
+	var stack [diffStackRuns]extent
+	ext := stack[:0]
+	total := 0
 	i, n := 0, len(cur)
 	for i < n {
 		i = nextDiffByte(cur, twin, i)
@@ -128,10 +140,25 @@ func computeDiff(cur, twin []byte) Diff {
 		}
 		start := i
 		i = nextSameByte(cur, twin, i)
-		d.Runs = append(d.Runs, Run{Off: start, Data: append([]byte(nil), cur[start:i]...)})
+		ext = append(ext, extent{start, i})
+		total += i - start
 	}
-	return d
+	if len(ext) == 0 {
+		return Diff{}
+	}
+	runs := make([]Run, len(ext))
+	buf := make([]byte, total)
+	for k, e := range ext {
+		m := copy(buf, cur[e.lo:e.hi])
+		runs[k] = Run{Off: e.lo, Data: buf[:m:m]}
+		buf = buf[m:]
+	}
+	return Diff{Runs: runs}
 }
+
+// diffStackRuns is how many run extents computeDiff gathers without a
+// heap allocation.
+const diffStackRuns = 32
 
 // apply overwrites dst with the diff's bytes. dst must be at least as long
 // as the highest run extent.

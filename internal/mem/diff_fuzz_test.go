@@ -170,7 +170,10 @@ func checkDirtyPageScript(t *testing.T, script []byte) {
 		}
 		states = append(states, next)
 	}
-	installed := map[int]*dirtyPage{}
+	// installed[pg] is the install number of the record whose twin
+	// snaps[pg] holds. Records are recycled, so a reinstall is detected
+	// by its install number, not by the record's identity.
+	installed := map[int]uint64{}
 	snaps := map[int][]byte{}
 	view := make([]byte, size)
 
@@ -217,8 +220,8 @@ func checkDirtyPageScript(t *testing.T, script []byte) {
 		}
 
 		for pg, dp := range local.dirty {
-			if installed[pg] != dp {
-				installed[pg] = dp
+			if installed[pg] != dp.install {
+				installed[pg] = dp.install
 				snaps[pg] = append([]byte(nil), dp.twin...)
 			}
 			if got, want := dp.diff(), computeDiff(dp.data, dp.twin); !reflect.DeepEqual(got, want) {
@@ -228,7 +231,7 @@ func checkDirtyPageScript(t *testing.T, script []byte) {
 			if dp.sharedTwin && !bytes.Equal(dp.twin, snaps[pg]) {
 				t.Fatalf("step %d page %d: shared twin changed\ngot  %x\nwant %x", step/3, pg, dp.twin, snaps[pg])
 			}
-			if dp.pf != pfNone && (!dp.diff().Empty() || dp.spec == nil || !dp.spec.Empty()) {
+			if dp.pf != pfNone && (!dp.diff().Empty() || !dp.specOK || !dp.spec.Empty()) {
 				t.Fatalf("step %d page %d: unwritten prefetched page has a diff", step/3, pg)
 			}
 		}

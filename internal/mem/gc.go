@@ -14,7 +14,8 @@ package mem
 // v may fold. A Version handle's pages are read only while its committer
 // pins it (see Version.ForEachPageHash), and ReadCommitted, pinned by no
 // workspace, copies under the segment lock held here. The zero page is never in the
-// base table, so it is never recycled.
+// base table, so it is never recycled. A folded version's diffs are left
+// to the Go collector, not recycled (see computeDiff).
 //
 // The per-invocation reclaim budget (SegmentConfig.GCPageBudget) models the
 // paper's single-threaded Conversion collector: programs that allocate and
@@ -39,7 +40,9 @@ func (s *Segment) GC() int {
 		if budget > 0 && reclaimed >= budget {
 			break
 		}
-		for pg, slot := range v.Pages {
+		for i := range v.slots {
+			slot := &v.slots[i]
+			pg := slot.page
 			if old := s.base[pg]; old != nil {
 				reclaimed++ // superseded base page freed
 				s.allocPages(-1)

@@ -69,10 +69,18 @@ type Segment struct {
 	// versions holds the retained delta chain, versions[i] has
 	// Num == floor+1+i. Entries may be pending (phase 2 incomplete).
 	versions []*Version
-	// latest[pg] points at the most recent committed or pending version
-	// touching pg, or nil if base content is current. Used to chain
-	// parallel phase-2 merges per page.
-	latest map[int]*pageSlot
+	// latest[pg] points at the slot of the most recent committed or
+	// pending version touching pg, or nil if base content is current. Used
+	// to chain parallel phase-2 merges per page. Made (npages entries) by
+	// the first commit that publishes, so a segment that never commits
+	// pays nothing for it.
+	latest []*pageSlot
+	// pulledAt is the page set of the pull in progress (pullLocked): pg is
+	// in it iff pulledAt[pg] == pullGen, so starting a new pull clears the
+	// set by bumping pullGen. One table per segment suffices because
+	// pulls run under mu. Made by the first pull.
+	pulledAt []uint32
+	pullGen  uint32
 
 	stats   Stats
 	statsMu sync.Mutex
@@ -131,32 +139,54 @@ type Version struct {
 	Num int64
 	// Committer is the thread ID that produced this version.
 	Committer int
-	// Pages maps page index -> slot holding the merged page content.
-	Pages map[int]*pageSlot
-	// slots lists the same slots in ascending page order (deterministic
-	// phase-2 processing order).
-	slots []*pageSlot
+	// slots holds one slot per modified page, in ascending page order
+	// (the deterministic phase-2 processing order). BeginCommit allocates
+	// it at its exact length when it publishes the version, and it never
+	// grows afterwards, so the segment's latest table and later slots'
+	// prev links may point into it.
+	slots []pageSlot
 }
 
 // Pending reports whether any of the version's pages still await their
 // merge phase.
 func (v *Version) Pending() bool {
-	for _, slot := range v.slots {
-		if !slot.resolved.Load() {
+	for i := range v.slots {
+		if !v.slots[i].resolved.Load() {
 			return true
 		}
 	}
 	return false
 }
 
-// PageIndexes returns the sorted-free set of page indexes this version
-// modified (iteration order unspecified).
+// PageCount returns the number of pages this version modified.
+func (v *Version) PageCount() int { return len(v.slots) }
+
+// PageIndexes returns the page indexes this version modified, in
+// ascending order, in a new slice.
 func (v *Version) PageIndexes() []int {
-	idx := make([]int, 0, len(v.Pages))
-	for pg := range v.Pages {
-		idx = append(idx, pg)
+	idx := make([]int, len(v.slots))
+	for i := range v.slots {
+		idx[i] = v.slots[i].page
 	}
 	return idx
+}
+
+// slot returns the version's slot for pg, or nil if the version did not
+// modify pg: a binary search of the ascending slot list.
+func (v *Version) slot(pg int) *pageSlot {
+	lo, hi := 0, len(v.slots)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.slots[m].page < pg {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(v.slots) && v.slots[lo].page == pg {
+		return &v.slots[lo]
+	}
+	return nil
 }
 
 // ForEachPageHash calls f with an FNV-1a content hash of every page this
@@ -169,13 +199,9 @@ func (v *Version) PageIndexes() []int {
 // has passed a later version of the same page, GC may recycle this one's
 // buffer.
 func (v *Version) ForEachPageHash(f func(page int, hash uint64)) {
-	for _, slot := range v.slots {
-		data := slot.resolve()
-		h := uint64(14695981039346656037) // FNV-1a offset basis
-		for _, b := range data {
-			h = (h ^ uint64(b)) * 1099511628211
-		}
-		f(slot.page, h)
+	for i := range v.slots {
+		slot := &v.slots[i]
+		f(slot.page, FNV1a(FNVOffset64, slot.resolve()))
 	}
 }
 
@@ -188,8 +214,8 @@ func (v *Version) ForEachPageHash(f func(page int, hash uint64)) {
 // alike), which is what the commit log persists. The Diff's run data
 // aliases the version's immutable buffers: read-only.
 func (v *Version) ForEachPageDiff(f func(page int, d Diff)) {
-	for _, slot := range v.slots {
-		f(slot.page, slot.diff)
+	for i := range v.slots {
+		f(v.slots[i].page, v.slots[i].diff)
 	}
 }
 
@@ -266,7 +292,6 @@ func NewSegment(cfg SegmentConfig) (*Segment, error) {
 		npages:     np,
 		size:       np * ps,
 		base:       make([][]byte, np),
-		latest:     make(map[int]*pageSlot),
 		workspaces: make(map[int]*Workspace),
 		stats:      Stats{GCPageBudget: cfg.GCPageBudget},
 	}, nil
@@ -321,7 +346,7 @@ func (s *Segment) pageAtLocked(pg int, at int64) (*pageSlot, []byte) {
 	// Walk back from `at` to floor looking for the newest version <= at
 	// touching pg.
 	for i := at - s.floor - 1; i >= 0; i-- {
-		if sl, ok := s.versions[i].Pages[pg]; ok {
+		if sl := s.versions[i].slot(pg); sl != nil {
 			return sl, nil
 		}
 	}
@@ -393,7 +418,7 @@ func (s *Segment) PopulatedPages() int {
 		}
 	}
 	for _, v := range s.versions {
-		n += len(v.Pages)
+		n += len(v.slots)
 	}
 	return n
 }

@@ -10,7 +10,17 @@ type Workspace struct {
 	seg     *Segment
 	tid     int
 	version int64 // snapshot version this view reflects
-	dirty   map[int]*dirtyPage
+	// dirty indexes the dirty pages for Read and Write; dirtyList holds
+	// the same records, so the commit path walks a slice (in an order it
+	// fixes by sorting) rather than iterating the map.
+	dirty     map[int]*dirtyPage
+	dirtyList []*dirtyPage
+	// freeDirty recycles the records of pages that left the dirty set.
+	freeDirty []*dirtyPage
+	// installs counts dirty-page installs; each record carries its own
+	// install number, so a record reused for a new install is told apart
+	// from the one it replaced.
+	installs uint64
 
 	// Counters since the last TakeCounters call; the runtime converts
 	// these into charged costs and stats.
@@ -35,14 +45,13 @@ type Workspace struct {
 	// TakeChunkWrites. Only maintained while predict is set.
 	chunkWrites []int
 
-	// Commit-path scratch, reused across BeginCommit calls to avoid
-	// re-allocating the sorted page list, the retained-prefetch list and
-	// the pulled-page set on every commit. Owned by the workspace's
-	// thread, like dirty.
-	scratchPages   []int
-	scratchKept    []int
-	scratchTouched map[int]bool
+	// Commit-path scratch, reused across BeginCommit and UpdateTo calls
+	// so they allocate no lists: the slots that patch dirty pages, the
+	// pages BeginCommit must re-diff, and the pages it publishes. Owned by
+	// the workspace's thread, like dirty.
 	scratchPatches []*pageSlot
+	scratchMisses  []*dirtyPage
+	scratchPub     []*dirtyPage
 }
 
 // Prefetch states of a dirty page (dirtyPage.pf).
@@ -61,7 +70,12 @@ const (
 )
 
 // dirtyPage is a privately writable copy of a page plus its pristine twin.
+// Records are recycled through the workspace's free list (Workspace.drop),
+// so a record's identity does not name an install; its install number
+// does.
 type dirtyPage struct {
+	page    int
+	install uint64
 	// data is the private copy the thread writes, drawn from the segment's
 	// page pool. It goes back to the pool when the page leaves the dirty
 	// set, unless a commit published it as the version's page (then
@@ -83,15 +97,17 @@ type dirtyPage struct {
 	// data == twin, because the copy starts equal and imports write both
 	// alike, so the diff scans only the extent (diff).
 	lo, hi int
-	// spec is the page's speculative diff (PrepareCommit). The invariant: a
-	// non-nil spec always equals computeDiff(data, twin) over the current
-	// contents. Local writes reset it to nil; remote imports do NOT, because
-	// applyWhereClean is diff-preserving — it writes each pulled byte to
-	// both data and twin only at positions where data[i] == twin[i], so
-	// clean positions stay clean (both take the pulled byte) and dirty
-	// positions are untouched in both, leaving the diff byte-identical.
+	// spec is the page's speculative diff (PrepareCommit), valid while
+	// specOK is set. The invariant: a valid spec always equals
+	// computeDiff(data, twin) over the current contents. Local writes
+	// invalidate it; remote imports do NOT, because applyWhereClean is
+	// diff-preserving — it writes each pulled byte to both data and twin
+	// only at positions where data[i] == twin[i], so clean positions stay
+	// clean (both take the pulled byte) and dirty positions are untouched
+	// in both, leaving the diff byte-identical.
 	// TestApplyWhereCleanPreservesDiff/FuzzApplyWhereClean pin this.
-	spec *Diff
+	spec   Diff
+	specOK bool
 	// pf is the page's prefetch state. A prefetched page holds data == twin
 	// (no local modifications), which makes it semantically equivalent to a
 	// clean page: updates import every remote byte into both copies
@@ -177,7 +193,7 @@ func (ws *Workspace) Write(data []byte, off int) {
 				ws.chunkWrites = append(ws.chunkWrites, pg)
 			}
 		}
-		dp.spec = nil // the write invalidates any speculative diff
+		dp.specOK = false // the write invalidates any speculative diff
 		copy(dp.data[po:po+n], data[:n])
 		dp.lo, dp.hi = min(dp.lo, po), max(dp.hi, po+n)
 		data = data[n:]
@@ -201,21 +217,31 @@ func (ws *Workspace) fault(pg int) *dirtyPage {
 }
 
 // install makes pg dirty: the one constructor behind both copy-on-write
-// faults and prefetches. The data copy comes from the segment's page pool;
-// the twin shares the committed page (see dirtyPage.twin), which the
-// workspace's snapshot version keeps alive. The Conversion model still
-// charges two pages, a dirty copy and a twin, whether or not the twin is
-// shared (Stats.CurPages).
+// faults and prefetches. The data copy comes from the segment's page pool
+// and the record from the workspace's free list; the twin shares the
+// committed page (see dirtyPage.twin), which the workspace's snapshot
+// version keeps alive. The Conversion model still charges two pages, a
+// dirty copy and a twin, whether or not the twin is shared
+// (Stats.CurPages).
 func (ws *Workspace) install(pg int, pf uint8) *dirtyPage {
 	base := ws.seg.committedPage(pg, ws.version)
 	data := ws.seg.getPage()
 	copy(data, base)
-	dp := &dirtyPage{data: data, twin: base, sharedTwin: true, lo: len(data), pf: pf}
-	if pf != pfNone {
-		// data == twin, so the diff is empty (see emptyDiff).
-		dp.spec = &emptyDiff
+	var dp *dirtyPage
+	if n := len(ws.freeDirty); n > 0 {
+		dp = ws.freeDirty[n-1]
+		ws.freeDirty[n-1] = nil
+		ws.freeDirty = ws.freeDirty[:n-1]
+	} else {
+		dp = new(dirtyPage)
 	}
+	ws.installs++
+	// A prefetched page holds data == twin, so its empty diff is already
+	// its speculative diff.
+	*dp = dirtyPage{page: pg, install: ws.installs, data: data, twin: base, sharedTwin: true,
+		lo: len(data), specOK: pf != pfNone, pf: pf}
 	ws.dirty[pg] = dp
+	ws.dirtyList = append(ws.dirtyList, dp)
 	if ws.faultPerturb != nil {
 		ws.chaosFaultNS += ws.faultPerturb(pg)
 	}
@@ -245,8 +271,14 @@ func (dp *dirtyPage) diff() Diff {
 	return d
 }
 
+// prepare makes dp's speculative diff valid.
+func (dp *dirtyPage) prepare() {
+	dp.spec, dp.specOK = dp.diff(), true
+}
+
 // release returns dp's private buffers to the segment's page pool: its
-// data unless a commit published it, and its twin unless shared.
+// data unless a commit published it, and its twin unless shared. No
+// reader can reach them: dirty pages are the workspace's own.
 func (dp *dirtyPage) release(s *Segment) {
 	if dp.data != nil {
 		s.putPage(dp.data)
@@ -254,6 +286,16 @@ func (dp *dirtyPage) release(s *Segment) {
 	if !dp.sharedTwin {
 		s.putPage(dp.twin)
 	}
+}
+
+// drop removes dp from the dirty index and returns its buffers to the
+// page pool and its record to the free list. The caller removes it from
+// dirtyList.
+func (ws *Workspace) drop(dp *dirtyPage) {
+	dp.release(ws.seg)
+	delete(ws.dirty, dp.page)
+	*dp = dirtyPage{}
+	ws.freeDirty = append(ws.freeDirty, dp)
 }
 
 func (ws *Workspace) checkRange(off, n int, op string) {
@@ -294,40 +336,51 @@ func (ws *Workspace) UpdateTo(at int64) (pulled int) {
 		s.mu.Unlock()
 		return 0
 	}
-	touched := ws.touchedScratch()
-	patches := ws.pullLocked(head, touched)
+	patches, pulled := ws.pullLocked(head)
 	ws.version = head
 	s.mu.Unlock()
 	ws.applyPatches(patches)
-	s.addPulled(int64(len(touched)))
-	return len(touched)
+	s.addPulled(int64(pulled))
+	return pulled
 }
 
-// pullLocked collects the window (ws.version, to]: every page a version in
-// it modified goes into touched, and the slots that must patch this
-// workspace's dirty pages come back in version order (the version list's
+// pullLocked collects the window (ws.version, to]: it counts the distinct
+// pages the window's versions modified, and returns the slots that must
+// patch this workspace's dirty pages in version order (the version list's
 // order). Each patched page's twin is privatized here, under the segment
 // lock and before the caller advances ws.version: once the workspace
 // passes a version touching the page, GC may recycle the committed page a
 // shared twin references.
-func (ws *Workspace) pullLocked(to int64, touched map[int]bool) []*pageSlot {
+func (ws *Workspace) pullLocked(to int64) (patches []*pageSlot, pulled int) {
 	s := ws.seg
-	patches := ws.scratchPatches[:0]
+	if s.pulledAt == nil {
+		s.pulledAt = make([]uint32, s.npages)
+	}
+	if s.pullGen++; s.pullGen == 0 { // wrapped: stale stamps could match
+		clear(s.pulledAt)
+		s.pullGen = 1
+	}
+	patches = ws.scratchPatches[:0]
 	for i := ws.version - s.floor; i < to-s.floor; i++ {
 		if i < 0 {
 			// Should not happen: GC never passes a live workspace.
 			panic(fmt.Sprintf("mem: workspace for tid %d (version %d) behind GC floor %d", ws.tid, ws.version, s.floor))
 		}
-		for pg, slot := range s.versions[i].Pages {
-			touched[pg] = true
-			if dp, dirtyHere := ws.dirty[pg]; dirtyHere {
+		v := s.versions[i]
+		for k := range v.slots {
+			slot := &v.slots[k]
+			if s.pulledAt[slot.page] != s.pullGen {
+				s.pulledAt[slot.page] = s.pullGen
+				pulled++
+			}
+			if dp, dirtyHere := ws.dirty[slot.page]; dirtyHere {
 				dp.ownTwin(s)
 				patches = append(patches, slot)
 			}
 		}
 	}
 	ws.scratchPatches = patches
-	return patches
+	return patches, pulled
 }
 
 // applyPatches imports pulled remote bytes into dirty pages, outside the
@@ -362,10 +415,9 @@ func (ws *Workspace) applyPatches(patches []*pageSlot) {
 // speculation cost from it).
 func (ws *Workspace) PrepareCommit() int {
 	prepared := 0
-	for _, dp := range ws.dirty {
-		if dp.spec == nil {
-			d := dp.diff()
-			dp.spec = &d
+	for _, dp := range ws.dirtyList {
+		if !dp.specOK {
+			dp.prepare()
 			prepared++
 		}
 	}
@@ -395,13 +447,6 @@ func (ws *Workspace) TakeChunkWrites() []int {
 	ws.chunkWrites = ws.chunkWrites[:0]
 	return w
 }
-
-// emptyDiff backs the speculative diff of prefetched pages: a prefetched
-// page holds data == twin, whose diff is empty, so sharing one immutable
-// zero-value Diff avoids a per-page allocation. BeginCommit copies specs
-// by value and rediff replaces the pointer, so nothing ever writes
-// through it.
-var emptyDiff Diff
 
 // Prepopulate installs copy-on-write copies of the given pages ahead of
 // the writes a predictor expects, so those writes will not fault. It is
@@ -446,11 +491,12 @@ func (ws *Workspace) Discard() {
 }
 
 func (ws *Workspace) discardLocked() {
-	if n := len(ws.dirty); n > 0 {
-		for _, dp := range ws.dirty {
-			dp.release(ws.seg)
+	if n := len(ws.dirtyList); n > 0 {
+		for _, dp := range ws.dirtyList {
+			ws.drop(dp)
 		}
+		clear(ws.dirtyList)
+		ws.dirtyList = ws.dirtyList[:0]
 		ws.seg.allocPages(int64(-2 * n))
-		clear(ws.dirty)
 	}
 }

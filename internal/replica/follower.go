@@ -25,10 +25,10 @@ package replica
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/commitlog"
+	"repro/internal/mem"
 )
 
 // ErrFutureVersion reports a ReadAt target the follower has not applied
@@ -48,6 +48,12 @@ type pageRev struct {
 	data []byte
 }
 
+// revKey names an undo entry: hist[page] holds an entry at ver.
+type revKey struct {
+	ver  int64
+	page int
+}
+
 // Follower is one replica: the current committed pages plus a bounded
 // per-page undo history for versioned reads. Applies come from the
 // follower's feed goroutine; reads take the read-lock, so many readers
@@ -58,9 +64,16 @@ type Follower struct {
 	npages   int
 	window   int64 // undo history depth in versions; <= 0 keeps everything
 
-	mu      sync.RWMutex
-	pages   map[int][]byte
-	hist    map[int][]pageRev
+	mu    sync.RWMutex
+	pages map[int][]byte
+	hist  map[int][]pageRev
+	// undo lists the undo entries of a windowed follower in the order
+	// apply made them, which is ascending version, so prune drops the
+	// oldest entries from its front without scanning hist. free recycles the buffers of
+	// pruned entries: reads copy out under the lock, so nothing outside
+	// the follower references them.
+	undo    []revKey
+	free    [][]byte
 	version int64 // last applied commit's version
 	atSeq   int64
 	applied int64 // commit records applied since the last restore
@@ -114,6 +127,7 @@ func (f *Follower) reset() {
 	defer f.mu.Unlock()
 	f.pages = make(map[int][]byte)
 	f.hist = make(map[int][]pageRev)
+	f.undo = nil
 	f.version, f.atSeq, f.applied, f.floor = 0, 0, 0, 0
 }
 
@@ -124,6 +138,7 @@ func (f *Follower) restore(s commitlog.Snapshot) {
 	defer f.mu.Unlock()
 	f.pages = make(map[int][]byte)
 	f.hist = make(map[int][]pageRev)
+	f.undo = nil
 	for _, pd := range s.Pages {
 		buf := make([]byte, f.pageSize)
 		for _, r := range pd.Runs {
@@ -160,9 +175,17 @@ func (f *Follower) apply(c commitlog.Commit) (bool, error) {
 			f.pages[pd.Page] = buf
 		}
 		// Undo entry: the content this commit replaces.
-		prev := make([]byte, f.pageSize)
+		var prev []byte
+		if n := len(f.free); n > 0 {
+			prev, f.free = f.free[n-1], f.free[:n-1]
+		} else {
+			prev = make([]byte, f.pageSize)
+		}
 		copy(prev, buf)
 		f.hist[pd.Page] = append(f.hist[pd.Page], pageRev{ver: c.Version, data: prev})
+		if f.window > 0 {
+			f.undo = append(f.undo, revKey{c.Version, pd.Page})
+		}
 		for _, r := range pd.Runs {
 			copy(buf[r.Off:], r.Data)
 		}
@@ -184,19 +207,19 @@ func (f *Follower) prune() {
 	if cut <= 0 {
 		return
 	}
-	for pg, revs := range f.hist {
-		i := 0
-		for i < len(revs) && revs[i].ver <= cut {
-			i++
-		}
-		if i == 0 {
-			continue
-		}
-		if i == len(revs) {
+	// Entries leave in the order they were made, so each one leaving is
+	// the oldest of its page's ascending list.
+	for len(f.undo) > 0 && f.undo[0].ver <= cut {
+		pg := f.undo[0].page
+		f.undo = f.undo[1:]
+		revs := f.hist[pg]
+		f.free = append(f.free, revs[0].data)
+		revs[0] = pageRev{}
+		if len(revs) == 1 {
 			delete(f.hist, pg)
-			continue
+		} else {
+			f.hist[pg] = revs[1:]
 		}
-		f.hist[pg] = append([]pageRev(nil), revs[i:]...)
 	}
 }
 
@@ -255,14 +278,14 @@ func (f *Follower) ReadLatest(pg int) ([]byte, int64, error) {
 func (f *Follower) Checksum() uint64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	h := fnv.New64a()
+	h := mem.FNVOffset64
 	zero := make([]byte, f.pageSize)
 	for pg := 0; pg < f.npages; pg++ {
 		if buf, ok := f.pages[pg]; ok {
-			h.Write(buf)
+			h = mem.FNV1a(h, buf)
 		} else {
-			h.Write(zero)
+			h = mem.FNV1a(h, zero)
 		}
 	}
-	return h.Sum64()
+	return h
 }

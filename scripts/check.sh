@@ -25,6 +25,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== perfbench module (go vet + go test)"
+# perfbench/ is a nested Go module, so the ./... steps above never build
+# or test it: an internal API change could break the benchmark unnoticed.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race (obs + det + clock + harness + chaos + replica + mem + commitlog + journal)"
 go test -race ./internal/obs/... ./internal/det ./internal/clock ./internal/harness ./internal/chaos/... ./internal/replica ./internal/mem ./internal/commitlog ./internal/journal
 
